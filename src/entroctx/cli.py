@@ -11,26 +11,22 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import cycle_pair_keys, cycle_single_keys
-from .contexts import joint_distribution_coarse, joint_distribution_fine
 from .pipeline import (
     EXACT,
     ExperimentConfig,
-    cycle_contexts,
     export_qasm_suite,
     format_reconciliation,
     ingest_counts_files,
     load_config,
     preset_config,
     reproduce_reference,
-    resolve_observables,
     run_experiment,
     sweep,
     sweep_summary,
     write_sampled_counts,
 )
-from .reports import read_entropies_file, read_report, write_report
+from .reports import literal_entropies_to_report, report_from_dict, write_report
 from .sampling import fit_depolarizing
-from .statevec import prepare_state
 
 
 def _shots_value(text: str):
@@ -107,30 +103,27 @@ def _result_for_input(args):
     return run_experiment(_effective_config(args))
 
 
+def _read_entropies(path):
+    """Report or literal-entropies file -> EntropyReport (JSON parsed once)."""
+    data = json.loads(Path(path).read_text())
+    if isinstance(data, dict) and "entropies" in data:
+        return literal_entropies_to_report(data)
+    return report_from_dict(data)[0]
+
+
 def _cmd_entropies(args) -> int:
-    if getattr(args, "counts", None):
-        config = _effective_config(args)
-        result = ingest_counts_files(args.counts, config.observable_set)
-        _print_report(result.report)
-        if args.out:
-            write_report(args.out, result.report, result.feasibility.feasible)
-            print(f"report written to {args.out}")
-        return 0
-    result = run_experiment(_effective_config(args))
+    result = _result_for_input(args)
     _print_report(result.report)
     if args.out:
+        if args.counts:
+            write_report(args.out, result.report, result.feasibility.feasible)
         print(f"report written to {args.out}")
     return 0
 
 
 def _cmd_inequality(args) -> int:
     if args.entropies:
-        data = json.loads(Path(args.entropies).read_text())
-        if "entropies" in data:
-            report = read_entropies_file(args.entropies)
-        else:
-            report, _ = read_report(args.entropies)
-        _print_report(report)
+        _print_report(_read_entropies(args.entropies))
         return 0
     result = _result_for_input(args)
     _print_report(result.report, result.feasibility)
@@ -177,26 +170,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fit_noise(args) -> int:
     config = _effective_config(args)
-    data = json.loads(Path(args.target).read_text())
-    if "entropies" in data:
-        body = data["entropies"]
-    else:
-        body = data
-    observables = resolve_observables(config.observable_set)
-    n = len(observables)
-    state = prepare_state(config.state)
-    dists, targets = [], []
-    singles = {int(k): float(v) for k, v in body["h_singles"].items()}
-    pairs = {}
-    for key, value in body["h_pairs"].items():
-        i, j = (int(x) for x in key.split("-")) if isinstance(key, str) else key
-        pairs[(i, j)] = float(value)
-    for kind, key, ctx in cycle_contexts(observables, config.convention):
-        if config.convention == "fine":
-            dists.append(joint_distribution_fine(state, ctx))
-        else:
-            dists.append(joint_distribution_coarse(state, ctx))
-        targets.append(singles[key] if kind == "single" else pairs[key])
+    target = _read_entropies(args.target)
+    exact = run_experiment(replace(config, shots=EXACT, noise=None, outputs=None))
+    n = exact.report.n_observables
+    if target.n_observables != n:
+        raise ValueError(f"target has {target.n_observables} observables, the run {n}")
+    dists = [*exact.single_dists.values(), *exact.pair_dists.values()]
+    targets = [
+        *(target.h_singles[i] for i in exact.single_dists),
+        *(target.h_pairs[key] for key in exact.pair_dists),
+    ]
     fit = fit_depolarizing(dists, targets)
     print(f"fitted depolarizing weight: {fit.epsilon:.4f}")
     print(f"residual sum of squares: {fit.residual:.6f}")

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import OutcomeDistribution, coarse_labels
-from .entropy import cycle_pair_keys, cycle_single_keys, evaluate_m_cycle, shannon_entropy
+from .entropy import _pair_key, cycle_pair_keys, cycle_single_keys
+from .entropy import evaluate_m_cycle, shannon_entropy
 
 MAX_OBSERVABLES = 20
 
@@ -223,8 +224,7 @@ def _simplex_min_violation(a0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
 
 def _resolve_pair(pair_dists, key: tuple[int, int]) -> OutcomeDistribution:
     for raw, dist in pair_dists.items():
-        raw_key = tuple(int(x) for x in raw.split("-")) if isinstance(raw, str) else tuple(raw)
-        if raw_key == key:
+        if _pair_key(raw) == key:
             if not isinstance(dist, OutcomeDistribution):
                 labels = tuple(dist)
                 dist = OutcomeDistribution(

@@ -30,7 +30,6 @@ from .entropy import (
     cycle_pair_keys,
     cycle_single_keys,
     entropies_from_counts,
-    evaluate_m_cycle,
     shannon_entropy,
 )
 from .ncmodels import FeasibilityResult, lp_feasibility
@@ -126,27 +125,50 @@ def cycle_contexts(
     return entries
 
 
-def _as_coarse_pair(dist: OutcomeDistribution) -> OutcomeDistribution:
-    table = dist.as_dict()
+def _exact_entries(state: QuantumState, observables, convention: str, flags: list):
+    """Exact (kind, key, ctx, dist) in cycle_contexts order. A fine context
+    without a fine-grained basis falls back to coarse and adds a flag."""
+    entries = []
+    for kind, key, ctx in cycle_contexts(observables, convention):
+        if convention == "coarse":
+            dist = joint_distribution_coarse(state, ctx)
+        else:
+            try:
+                dist = joint_distribution_fine(state, ctx)
+            except ValueError:
+                flags.append(
+                    f"fine-grained basis unavailable for context {ctx.label_text()}; "
+                    "coarse convention used"
+                )
+                dist = joint_distribution_coarse(state, ctx)
+        entries.append((kind, key, ctx, dist))
+    return entries
+
+
+def _dists(entries, kind: str) -> dict:
+    return {key: dist for k, key, _, dist in entries if k == kind}
+
+
+def _report(entries, convention: str, n: int, flags=()) -> EntropyReport:
+    """Entries -> entropies -> witness M."""
+    h_singles = {i: shannon_entropy(d) for i, d in _dists(entries, "single").items()}
+    h_pairs = {key: shannon_entropy(d) for key, d in _dists(entries, "pair").items()}
+    return EntropyReport.from_entropies(h_singles, h_pairs, convention, n, tuple(flags))
+
+
+def _coarse_pairs(entries) -> dict[tuple[int, int], OutcomeDistribution]:
+    """Coarse pair distributions for the LP: fine records are binned through
+    their context, eigenvalue tables are laid out over all four outcomes."""
     labels = coarse_labels(2)
-    return OutcomeDistribution(
-        labels, np.array([table.get(lb, 0.0) for lb in labels])
-    )
-
-
-def _exact_distribution(
-    state: QuantumState, ctx: MeasurementContext, convention: str, flags: list[str]
-) -> OutcomeDistribution:
-    if convention == "coarse":
-        return joint_distribution_coarse(state, ctx)
-    try:
-        return joint_distribution_fine(state, ctx)
-    except ValueError:
-        flags.append(
-            f"fine-grained basis unavailable for context {ctx.label_text()}; "
-            "coarse convention used"
-        )
-        return joint_distribution_coarse(state, ctx)
+    pairs = {}
+    for kind, key, ctx, dist in entries:
+        if kind == "pair" and all(isinstance(lb, str) for lb in dist.labels):
+            pairs[key] = coarsen(dist, ctx)
+        elif kind == "pair":
+            table = dist.as_dict()
+            probs = np.array([table.get(lb, 0.0) for lb in labels])
+            pairs[key] = OutcomeDistribution(labels, probs)
+    return pairs
 
 
 def lp_tolerance_for(n: int, shots: int | str) -> float:
@@ -177,18 +199,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """
     observables = resolve_observables(config.observable_set)
     n = len(observables)
-    state = prepare_state(config.state)
     flags: list[str] = []
-    entries = cycle_contexts(observables, config.convention)
-
-    single_dists: dict[int, OutcomeDistribution] = {}
-    pair_dists: dict[tuple[int, int], OutcomeDistribution] = {}
-    coarse_pairs: dict[tuple[int, int], OutcomeDistribution] = {}
+    entries = _exact_entries(
+        prepare_state(config.state), observables, config.convention, flags
+    )
     counts: dict[object, CountsRecord] = {}
-    contexts = {key: ctx for _, key, ctx in entries}
-
-    for position, (kind, key, ctx) in enumerate(entries):
-        dist = _exact_distribution(state, ctx, config.convention, flags)
+    for position, (kind, key, ctx, dist) in enumerate(entries):
         if config.noise is not None and not config.noise.is_trivial:
             dist = apply_noise(dist, config.noise)
         if config.shots != EXACT:
@@ -197,25 +213,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             )
             counts[key] = record
             dist = entropies_from_counts(record)
-        if kind == "single":
-            single_dists[key] = dist
-        else:
-            pair_dists[key] = dist
+        entries[position] = (kind, key, ctx, dist)
 
-    for key, dist in pair_dists.items():
-        if all(isinstance(lb, tuple) for lb in dist.labels):
-            coarse_pairs[key] = _as_coarse_pair(dist)
-        else:
-            coarse_pairs[key] = coarsen(dist, contexts[key])
-
-    h_singles = {i: shannon_entropy(d) for i, d in single_dists.items()}
-    h_pairs = {key: shannon_entropy(d) for key, d in pair_dists.items()}
-    report = EntropyReport.from_entropies(
-        h_singles, h_pairs, config.convention, n, tuple(flags)
-    )
-    feasibility = lp_feasibility(
-        coarse_pairs, n, lp_tolerance_for(n, config.shots)
-    )
+    report = _report(entries, config.convention, n, flags)
+    coarse_pairs = _coarse_pairs(entries)
+    feasibility = lp_feasibility(coarse_pairs, n, lp_tolerance_for(n, config.shots))
 
     payload = None
     if config.outputs:
@@ -224,24 +226,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         config=config,
         report=report,
         feasibility=feasibility,
-        single_dists=single_dists,
-        pair_dists=pair_dists,
+        single_dists=_dists(entries, "single"),
+        pair_dists=_dists(entries, "pair"),
         coarse_pairs=coarse_pairs,
         counts=counts if config.shots != EXACT else None,
         report_payload=payload,
     )
-
-
-def _expected_context_texts(
-    observables: tuple[PauliString, ...]
-) -> dict[tuple[str, ...], tuple[str, object]]:
-    n = len(observables)
-    expected: dict[tuple[str, ...], tuple[str, object]] = {}
-    for i in cycle_single_keys(n):
-        expected[(str(observables[i - 1]),)] = ("single", i)
-    for i, j in cycle_pair_keys(n):
-        expected[(str(observables[i - 1]), str(observables[j - 1]))] = ("pair", (i, j))
-    return expected
 
 
 @dataclass(frozen=True)
@@ -264,46 +254,35 @@ def ingest_counts(
     """
     observables = resolve_observables(observable_set)
     n = len(observables)
-    expected = _expected_context_texts(observables)
+    expected = {
+        tuple(str(o) for o in ctx.observables): (kind, key, ctx)
+        for kind, key, ctx in cycle_contexts(observables)
+    }
     found: dict[tuple[str, ...], CountsRecord] = {}
     for texts, record in records:
-        if tuple(texts) in expected:
-            found[tuple(texts)] = record
+        texts = tuple(texts)
+        if texts in found:
+            raise ValueError(f"duplicate counts for context ({','.join(texts)})")
+        if texts in expected:
+            found[texts] = record
     missing = [texts for texts in expected if texts not in found]
     if missing:
         names = ", ".join("(" + ",".join(t) + ")" for t in missing)
         raise ValueError(f"missing counts for context {names}")
 
-    single_dists: dict[int, OutcomeDistribution] = {}
-    pair_dists: dict[tuple[int, int], OutcomeDistribution] = {}
-    coarse_pairs: dict[tuple[int, int], OutcomeDistribution] = {}
-    conventions = set()
-    min_shots = None
-    for texts, (kind, key) in expected.items():
-        record = found[texts]
-        min_shots = record.shots if min_shots is None else min(min_shots, record.shots)
-        dist = entropies_from_counts(record)
-        fine = all(isinstance(lb, str) for lb in dist.labels)
-        conventions.add("fine" if fine else "coarse")
-        if kind == "single":
-            single_dists[key] = dist
-        else:
-            pair_dists[key] = dist
-            if fine:
-                ctx = MeasurementContext(tuple(as_pauli(t) for t in texts), "fine")
-                coarse_pairs[key] = coarsen(dist, ctx)
-            else:
-                coarse_pairs[key] = _as_coarse_pair(dist)
-    if len(conventions) != 1:
+    entries = [
+        (kind, key, ctx, entropies_from_counts(found[texts]))
+        for texts, (kind, key, ctx) in expected.items()
+    ]
+    fine = {all(isinstance(lb, str) for lb in dist.labels) for *_, dist in entries}
+    if len(fine) != 1:
         raise ValueError("mixed label conventions across counts records")
-
-    h_singles = {i: shannon_entropy(d) for i, d in single_dists.items()}
-    h_pairs = {key: shannon_entropy(d) for key, d in pair_dists.items()}
-    report = EntropyReport.from_entropies(
-        h_singles, h_pairs, conventions.pop(), n
+    report = _report(entries, "fine" if fine.pop() else "coarse", n)
+    tolerance = lp_tolerance_for(n, min(record.shots for record in found.values()))
+    feasibility = lp_feasibility(_coarse_pairs(entries), n, tolerance)
+    return IngestResult(
+        report, feasibility, _dists(entries, "single"), _dists(entries, "pair")
     )
-    feasibility = lp_feasibility(coarse_pairs, n, lp_tolerance_for(n, min_shots))
-    return IngestResult(report, feasibility, single_dists, pair_dists)
 
 
 def ingest_counts_files(paths, observable_set) -> IngestResult:
@@ -377,21 +356,11 @@ def format_reconciliation(result: dict) -> str:
 
 
 def exact_m(
-    state: QuantumState,
-    observables: tuple[PauliString, ...],
-    convention: str,
+    state: QuantumState, observables: tuple[PauliString, ...], convention: str
 ) -> float:
     """Witness value of the exact simulation in one convention."""
-    flags: list[str] = []
-    entries = cycle_contexts(observables, convention)
-    h_singles, h_pairs = {}, {}
-    for kind, key, ctx in entries:
-        dist = _exact_distribution(state, ctx, convention, flags)
-        if kind == "single":
-            h_singles[key] = shannon_entropy(dist)
-        else:
-            h_pairs[key] = shannon_entropy(dist)
-    return evaluate_m_cycle(h_pairs, h_singles, len(observables))
+    entries = _exact_entries(state, observables, convention, [])
+    return _report(entries, convention, len(observables)).m_value
 
 
 def sweep(
@@ -409,23 +378,17 @@ def sweep(
     for alpha in alphas:
         for beta in betas:
             try:
-                state = prepare_state(
-                    StatePrepSpec(
-                        family=family, alpha=float(alpha), beta=float(beta)
-                    )
-                )
+                spec = StatePrepSpec(family, alpha=float(alpha), beta=float(beta))
+                state = prepare_state(spec)
             except ValueError:
                 # degenerate family point (null vector); no state, no row
                 continue
-            m_coarse = exact_m(state, observables, "coarse")
+            # one coarse pass feeds both the coarse witness and the LP
+            entries = _exact_entries(state, observables, "coarse", [])
+            m_coarse = _report(entries, "coarse", n).m_value
             m_fine = exact_m(state, observables, "fine")
-            coarse_pairs = {
-                key: joint_distribution_coarse(state, ctx)
-                for kind, key, ctx in cycle_contexts(observables, "coarse")
-                if kind == "pair"
-            }
-            feasible = lp_feasibility(coarse_pairs, n, 1e-9).feasible
-            rows.append((float(alpha), float(beta), m_coarse, m_fine, feasible))
+            lp = lp_feasibility(_coarse_pairs(entries), n, lp_tolerance_for(n, EXACT))
+            rows.append((float(alpha), float(beta), m_coarse, m_fine, lp.feasible))
     rows.sort(key=lambda r: (r[0], r[1]))
     if out:
         write_sweep_csv(out, rows)
@@ -514,8 +477,21 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return data
 
 
+def _reject_unknown(section: str, data: dict, known: tuple[str, ...]) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown {section} key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(known)}"
+        )
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Config from its JSON form; unknown keys are rejected, not ignored."""
+    known = ("observable_set", "state", "convention", "shots", "seed", "noise", "outputs")
+    _reject_unknown("config", data, known)
     state_d = dict(data.get("state", {}))
+    _reject_unknown("state", state_d, ("family", "alpha", "beta", "amplitudes"))
     if "amplitudes" in state_d:
         amps = []
         for entry in state_d["amplitudes"]:
@@ -533,6 +509,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     noise = None
     if "noise" in data and data["noise"] is not None:
         noise_d = data["noise"]
+        _reject_unknown("noise", noise_d, ("epsilon", "readout_flip"))
         flip = noise_d.get("readout_flip")
         noise = NoiseModel(
             depolarizing_epsilon=float(noise_d.get("epsilon", 0.0)),

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .entropy import EntropyReport
-from .pauli import OBSERVABLE_SETS
 from .statevec import PRESET_S1, PRESET_S2, StatePrepSpec
 
 REFERENCE_SHOTS = 8192
@@ -77,7 +76,3 @@ REFERENCE_RUNS: dict[str, ReferenceRun] = {
         reported_m=0.12597,
     ),
 }
-
-
-def reference_observables(run: str):
-    return OBSERVABLE_SETS[REFERENCE_RUNS[run].observable_set]

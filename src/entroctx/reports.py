@@ -49,14 +49,21 @@ def report_to_dict(report: EntropyReport, lp_feasible: bool | None) -> dict:
     }
 
 
+def _field(data, name: str):
+    try:
+        return data[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"entropies file lacks the {name!r} field") from None
+
+
 def report_from_dict(data: dict) -> tuple[EntropyReport, bool | None]:
-    n = len(data["h_pairs"])
+    pairs = dict(_field(data, "h_pairs"))
     report = EntropyReport(
-        h_singles=dict(data["h_singles"]),
-        h_pairs=dict(data["h_pairs"]),
-        m_value=float(data["m_value"]),
-        convention=data["convention"],
-        n_observables=n,
+        h_singles=dict(_field(data, "h_singles")),
+        h_pairs=pairs,
+        m_value=float(_field(data, "m_value")),
+        convention=_field(data, "convention"),
+        n_observables=len(pairs),
         flags=tuple(data.get("flags", ())),
     )
     return report, data.get("lp_feasible")
@@ -98,22 +105,19 @@ def read_counts(path) -> tuple[tuple[str, ...], CountsRecord]:
     return counts_from_dict(json.loads(Path(path).read_text()))
 
 
-def is_literal_entropies(data: dict) -> bool:
-    return "entropies" in data
-
-
 def literal_entropies_to_report(data: dict) -> EntropyReport:
     """Report from a file that states entropies directly instead of counts.
 
     Schema: {"entropies": {"h_singles": {...}, "h_pairs": {...}},
     "convention": "fine"|"coarse"}; m is recomputed from the entries.
     """
-    body = data["entropies"]
+    body = _field(data, "entropies")
+    pairs = _field(body, "h_pairs")
     return EntropyReport.from_entropies(
-        body["h_singles"],
-        body["h_pairs"],
+        _field(body, "h_singles"),
+        pairs,
         convention=data.get("convention", "fine"),
-        n=len(body["h_pairs"]),
+        n=len(pairs),
         flags=("literal-entropies input",),
     )
 

@@ -223,3 +223,61 @@ def test_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+
+
+def test_fit_noise_uses_coarse_fallback_like_simulate(tmp_path, capsys):
+    # YYZ has no local basis shared with XXI or ZZI: simulate falls back to
+    # the coarse convention there with a flag, and fit-noise must do the same
+    config_file = tmp_path / "cycle3.json"
+    config_file.write_text(
+        json.dumps(
+            {
+                "observable_set": ["XXI", "YYZ", "ZZI"],
+                "state": {"family": "explicit", "amplitudes": [[0.5**1.5, 0.0]] * 8},
+                "convention": "fine",
+            }
+        )
+    )
+    report_file = tmp_path / "cycle3_report.json"
+    code = run_cli("simulate", "--config", str(config_file), "--out", str(report_file))
+    assert code == 0
+    assert "coarse convention used" in capsys.readouterr().out
+    code = run_cli(
+        "fit-noise", "--config", str(config_file), "--target", str(report_file)
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "fitted depolarizing weight: 0.0000" in out
+    # a target measured on a cycle of another length is refused
+    five_cycle = tmp_path / "s1_report.json"
+    run_cli("simulate", "--preset", "s1", "--out", str(five_cycle))
+    capsys.readouterr()
+    code = run_cli("fit-noise", "--config", str(config_file), "--target", str(five_cycle))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: target has 5 observables")
+
+
+def test_malformed_entropy_files_exit_with_error(tmp_path, capsys):
+    report_file = tmp_path / "report.json"
+    run_cli("simulate", "--preset", "s2", "--out", str(report_file))
+    capsys.readouterr()
+    # a bare table without m_value and convention is neither documented format
+    data = json.loads(report_file.read_text())
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: data[k] for k in ("h_singles", "h_pairs")}))
+    for argv in (
+        ("inequality", "--entropies", str(bare)),
+        ("fit-noise", "--preset", "s2", "--target", str(bare)),
+    ):
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "'m_value'" in captured.err
+    literal = tmp_path / "literal.json"
+    literal.write_text(json.dumps({"entropies": {"h_singles": data["h_singles"]}}))
+    code = run_cli("inequality", "--entropies", str(literal))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "'h_pairs'" in captured.err

@@ -207,6 +207,20 @@ def test_sweep_single_point_matches_run(tmp_path):
     parsed = read_sweep_csv(tmp_path / "s.csv")
     assert parsed[0][2] == pytest.approx(m_coarse, abs=0)
 
+    # the sweep row and run_experiment go through the same analysis stage,
+    # so they agree bit for bit in both conventions and on the LP verdict
+    for preset, observable_set in (("s1", "table1"), ("s2", "table2")):
+        spec = preset_config(preset).state
+        row = sweep(preset, [spec.alpha], [spec.beta], observable_set)[0]
+        runs = {
+            conv: run_experiment(preset_config(preset, convention=conv))
+            for conv in ("coarse", "fine")
+        }
+        assert row[2] == runs["coarse"].report.m_value
+        assert row[3] == runs["fine"].report.m_value
+        assert row[4] == runs["coarse"].feasibility.feasible
+        assert row[4] == runs["fine"].feasibility.feasible
+
 
 def test_sweep_periodicity_on_diagonal():
     # advancing both angles by pi flips the global sign of the state
@@ -280,3 +294,44 @@ def test_exact_m_helper_agrees():
     assert exact_m(state, observables, "coarse") == pytest.approx(
         S1_COARSE_M, abs=1e-12
     )
+    for convention in ("coarse", "fine"):
+        run = run_experiment(preset_config("s1", convention=convention))
+        assert exact_m(state, observables, convention) == run.report.m_value
+
+
+def test_ingest_rejects_duplicate_context_records():
+    from entroctx.contexts import joint_distribution_fine
+    from entroctx.sampling import CountsRecord
+
+    state = prepare_state(PRESET_S1)
+    records = []
+    for kind, key, ctx in cycle_contexts(resolve_observables("table1"), "fine"):
+        dist = joint_distribution_fine(state, ctx)
+        counts = {lb: round(8192 * p) for lb, p in dist.as_dict().items()}
+        texts = tuple(str(o) for o in ctx.observables)
+        records.append((texts, CountsRecord(",".join(texts), sum(counts.values()), counts)))
+    texts = records[3][0]
+    point_mass = CountsRecord(",".join(texts), 100, {"00": 100})
+    with pytest.raises(ValueError, match=r"duplicate counts for context \(ZZ,XX\)"):
+        ingest_counts(records + [(texts, point_mass)], "table1")
+    # records for contexts outside the cycle stay ignored, repeated or not
+    outside = [(("ZZ",), point_mass), (("ZZ",), point_mass)]
+    assert ingest_counts(records + outside, "table1").report.m_value == (
+        ingest_counts(records, "table1").report.m_value
+    )
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown config key.*'shot'"):
+        config_from_dict({"shot": 100})
+    with pytest.raises(ValueError, match="unknown state key.*'famly'"):
+        config_from_dict({"state": {"famly": "s2"}})
+    with pytest.raises(ValueError, match="unknown noise key.*'eps'"):
+        config_from_dict({"noise": {"eps": 0.1}})
+    # the documented extra forms stay accepted
+    explicit = config_from_dict(
+        {"state": {"family": "explicit", "amplitudes": [[0.5, 0.0]] * 4},
+         "outputs": {"report": "r.json"}}
+    )
+    assert explicit.state.family == "explicit"
+    assert explicit.outputs == "r.json"
