@@ -25,7 +25,7 @@ from .pipeline import (
     sweep_summary,
     write_sampled_counts,
 )
-from .reports import literal_entropies_to_report, report_from_dict, write_report
+from .reports import read_entropies_file, write_report
 from .sampling import fit_depolarizing
 
 
@@ -103,14 +103,6 @@ def _result_for_input(args):
     return run_experiment(_effective_config(args))
 
 
-def _read_entropies(path):
-    """Report or literal-entropies file -> EntropyReport (JSON parsed once)."""
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, dict) and "entropies" in data:
-        return literal_entropies_to_report(data)
-    return report_from_dict(data)[0]
-
-
 def _cmd_entropies(args) -> int:
     result = _result_for_input(args)
     _print_report(result.report)
@@ -123,7 +115,7 @@ def _cmd_entropies(args) -> int:
 
 def _cmd_inequality(args) -> int:
     if args.entropies:
-        _print_report(_read_entropies(args.entropies))
+        _print_report(read_entropies_file(args.entropies))
         return 0
     result = _result_for_input(args)
     _print_report(result.report, result.feasibility)
@@ -170,7 +162,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fit_noise(args) -> int:
     config = _effective_config(args)
-    target = _read_entropies(args.target)
+    target = read_entropies_file(args.target)
     exact = run_experiment(replace(config, shots=EXACT, noise=None, outputs=None))
     n = exact.report.n_observables
     if target.n_observables != n:

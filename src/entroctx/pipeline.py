@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +217,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     report = _report(entries, config.convention, n, flags)
     coarse_pairs = _coarse_pairs(entries)
-    feasibility = lp_feasibility(coarse_pairs, n, lp_tolerance_for(n, config.shots))
+    feasibility = lp_feasibility(
+        coarse_pairs, n, lp_tolerance_for(n, config.shots)
+    )
 
     payload = None
     if config.outputs:
@@ -356,7 +358,9 @@ def format_reconciliation(result: dict) -> str:
 
 
 def exact_m(
-    state: QuantumState, observables: tuple[PauliString, ...], convention: str
+    state: QuantumState,
+    observables: tuple[PauliString, ...],
+    convention: str,
 ) -> float:
     """Witness value of the exact simulation in one convention."""
     entries = _exact_entries(state, observables, convention, [])
@@ -378,8 +382,11 @@ def sweep(
     for alpha in alphas:
         for beta in betas:
             try:
-                spec = StatePrepSpec(family, alpha=float(alpha), beta=float(beta))
-                state = prepare_state(spec)
+                state = prepare_state(
+                    StatePrepSpec(
+                        family=family, alpha=float(alpha), beta=float(beta)
+                    )
+                )
             except ValueError:
                 # degenerate family point (null vector); no state, no row
                 continue
@@ -397,22 +404,16 @@ def sweep(
 
 def sweep_summary(rows) -> dict:
     """Maximal-M grid points for each convention."""
-    best_coarse = max(rows, key=lambda r: r[2])
-    best_fine = max(rows, key=lambda r: r[3])
-    return {
-        "max_m_coarse": {
-            "alpha": best_coarse[0],
-            "beta": best_coarse[1],
-            "m": best_coarse[2],
-        },
-        "max_m_fine": {
-            "alpha": best_fine[0],
-            "beta": best_fine[1],
-            "m": best_fine[3],
-        },
-        "any_positive_coarse": any(r[2] > 0 for r in rows),
-        "any_positive_fine": any(r[3] > 0 for r in rows),
-    }
+    summary = {}
+    for convention, col in (("coarse", 2), ("fine", 3)):
+        best = max(rows, key=lambda r: r[col])
+        summary[f"max_m_{convention}"] = {
+            "alpha": best[0],
+            "beta": best[1],
+            "m": best[col],
+        }
+        summary[f"any_positive_{convention}"] = any(r[col] > 0 for r in rows)
+    return summary
 
 
 def context_file_stem(kind: str, key) -> str:
@@ -478,6 +479,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _reject_unknown(section: str, data: dict, known: tuple[str, ...]) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object, not {data!r}")
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(
@@ -488,9 +491,8 @@ def _reject_unknown(section: str, data: dict, known: tuple[str, ...]) -> None:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Config from its JSON form; unknown keys are rejected, not ignored."""
-    known = ("observable_set", "state", "convention", "shots", "seed", "noise", "outputs")
-    _reject_unknown("config", data, known)
-    state_d = dict(data.get("state", {}))
+    _reject_unknown("config", data, tuple(f.name for f in fields(ExperimentConfig)))
+    state_d = data.get("state", {})
     _reject_unknown("state", state_d, ("family", "alpha", "beta", "amplitudes"))
     if "amplitudes" in state_d:
         amps = []

@@ -123,7 +123,11 @@ def literal_entropies_to_report(data: dict) -> EntropyReport:
 
 
 def read_entropies_file(path) -> EntropyReport:
-    return literal_entropies_to_report(json.loads(Path(path).read_text()))
+    """Report or literal-entropies file; the "entropies" key marks the latter."""
+    data = json.loads(Path(path).read_text())
+    if isinstance(data, dict) and "entropies" in data:
+        return literal_entropies_to_report(data)
+    return report_from_dict(data)[0]
 
 
 SWEEP_COLUMNS = ("alpha", "beta", "M_coarse", "M_fine", "lp_feasible")

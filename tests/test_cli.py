@@ -5,7 +5,7 @@ from pathlib import Path
 
 from entroctx.cli import main
 from entroctx.pipeline import config_to_dict, preset_config
-from entroctx.reports import read_report
+from entroctx.reports import read_entropies_file, read_report
 
 
 def run_cli(*argv):
@@ -264,6 +264,8 @@ def test_malformed_entropy_files_exit_with_error(tmp_path, capsys):
     capsys.readouterr()
     # a bare table without m_value and convention is neither documented format
     data = json.loads(report_file.read_text())
+    # both documented formats load through the one reader
+    assert read_entropies_file(report_file).m_value == data["m_value"]
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({k: data[k] for k in ("h_singles", "h_pairs")}))
     for argv in (

@@ -328,6 +328,9 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"state": {"famly": "s2"}})
     with pytest.raises(ValueError, match="unknown noise key.*'eps'"):
         config_from_dict({"noise": {"eps": 0.1}})
+    for bad in ({"state": None}, {"noise": 0.1}, ["shots"]):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            config_from_dict(bad)
     # the documented extra forms stay accepted
     explicit = config_from_dict(
         {"state": {"family": "explicit", "amplitudes": [[0.5, 0.0]] * 4},
