@@ -84,26 +84,35 @@ def cycle_single_keys(n: int) -> tuple[int, ...]:
     return tuple(range(2, n))
 
 
-def _lookup(table: Mapping, key, kind: str, normalize) -> float:
+def _rekey(table: Mapping, normalize) -> dict:
+    """Re-key a table by normalized key; of two keys for one entry the first wins."""
+    index: dict = {}
     for raw, value in table.items():
-        if normalize(raw) == key:
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite entropy for {kind}")
-            return value
-    raise ValueError(f"missing entropy entry for {kind}")
+        index.setdefault(normalize(raw), value)
+    return index
+
+
+def _lookup(index: dict, key, kind: str) -> float:
+    if key not in index:
+        raise ValueError(f"missing entropy entry for {kind}")
+    value = float(index[key])
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite entropy for {kind}")
+    return value
 
 
 def evaluate_m_cycle(h_pairs: Mapping, h_singles: Mapping, n: int) -> float:
     """Signed entropy combination M_n; keys (i, j) / "i-j" and i / "i"."""
     if n < 3:
         raise ValueError("cycle needs at least 3 observables")
+    pair_index = _rekey(h_pairs, _pair_key)
+    single_index = _rekey(h_singles, _single_key)
     pairs = {
-        key: _lookup(h_pairs, key, f"pair X{key[0]}X{key[1]}", _pair_key)
+        key: _lookup(pair_index, key, f"pair X{key[0]}X{key[1]}")
         for key in cycle_pair_keys(n)
     }
     singles = {
-        key: _lookup(h_singles, key, f"single X{key}", _single_key)
+        key: _lookup(single_index, key, f"single X{key}")
         for key in cycle_single_keys(n)
     }
     wrap = pairs[(n, 1)]
@@ -128,8 +137,8 @@ class EntropyReport:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        singles = {_single_key(k): float(v) for k, v in self.h_singles.items()}
-        pairs = {_pair_key(k): float(v) for k, v in self.h_pairs.items()}
+        singles = {k: float(v) for k, v in _rekey(self.h_singles, _single_key).items()}
+        pairs = {k: float(v) for k, v in _rekey(self.h_pairs, _pair_key).items()}
         object.__setattr__(self, "h_singles", singles)
         object.__setattr__(self, "h_pairs", pairs)
         for name, value in [*singles.items(), *pairs.items()]:
@@ -151,10 +160,8 @@ class EntropyReport:
         n: int = 5,
         flags: tuple[str, ...] = (),
     ) -> "EntropyReport":
-        singles = {_single_key(k): float(v) for k, v in h_singles.items()}
-        pairs = {_pair_key(k): float(v) for k, v in h_pairs.items()}
-        m = evaluate_m_cycle(pairs, singles, n)
-        return cls(singles, pairs, m, convention, n, tuple(flags))
+        m = evaluate_m_cycle(h_pairs, h_singles, n)
+        return cls(h_singles, h_pairs, m, convention, n, tuple(flags))
 
 
 def _sorted_labels(labels) -> list:

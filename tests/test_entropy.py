@@ -135,6 +135,22 @@ def test_evaluate_m_cycle_small_cases():
         evaluate_m_cycle({}, {}, 2)
 
 
+def test_duplicate_entropy_keys_first_wins():
+    # "1-2" and (1, 2) name one entry: the first one listed is used, both by
+    # the evaluator and by a report built from the same tables
+    pairs = {k: 2.0 for k in cycle_pair_keys(5)}
+    singles = {k: 1.0 for k in cycle_single_keys(5)}
+    first_str = {"1-2": 1.5, **pairs}
+    first_tuple = {**pairs, "1-2": 1.5}
+    assert evaluate_m_cycle(first_str, singles, 5) == pytest.approx(-2.5, abs=1e-15)
+    assert evaluate_m_cycle(first_tuple, singles, 5) == pytest.approx(-3.0, abs=1e-15)
+    doubled = {"3": 0.5, **singles}
+    assert evaluate_m_cycle(pairs, doubled, 5) == pytest.approx(-3.5, abs=1e-15)
+    report = EntropyReport.from_entropies(doubled, first_str, "coarse")
+    assert report.h_pairs[(1, 2)] == 1.5 and report.h_singles[3] == 0.5
+    assert report.m_value == pytest.approx(-3.0, abs=1e-15)
+
+
 def test_evaluate_m_is_linear():
     for _ in range(50):
         p1 = {k: float(v) for k, v in zip(cycle_pair_keys(5), RNG.uniform(0, 2, 5))}

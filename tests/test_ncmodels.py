@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from entroctx.contexts import coarse_labels
+from entroctx import ncmodels
+from entroctx.contexts import (
+    OutcomeDistribution,
+    coarse_labels,
+    coarsen,
+    joint_distribution_fine,
+)
 from entroctx.entropy import cycle_pair_keys, evaluate_m_cycle, shannon_entropy
 from entroctx.ncmodels import (
+    MAX_OBSERVABLES,
     DeterministicAssignment,
     NCModel,
     enumerate_assignments,
@@ -14,7 +21,15 @@ from entroctx.ncmodels import (
     singles_from_pairs,
     value_matrix,
 )
-from entroctx.pipeline import preset_config, run_experiment
+from entroctx.pipeline import (
+    cycle_contexts,
+    lp_tolerance_for,
+    preset_config,
+    resolve_observables,
+    run_experiment,
+)
+from entroctx.sampling import NoiseModel, apply_noise
+from entroctx.statevec import prepare_state
 
 RNG = np.random.default_rng(20260825)
 
@@ -213,3 +228,189 @@ def test_positive_m_sets_are_infeasible():
     m = evaluate_m_cycle(h_pairs, h_singles, 5)
     assert m == pytest.approx(2.0, abs=1e-12)
     assert not lp_feasibility(pairs, 5).feasible
+
+
+def test_lp_size_limit_checked_before_building(monkeypatch):
+    def fail(n):
+        raise AssertionError("constraint matrix built for an oversized cycle")
+
+    monkeypatch.setattr(ncmodels, "value_matrix", fail)
+    with pytest.raises(ValueError, match="too large"):
+        lp_feasibility({}, MAX_OBSERVABLES + 1)
+
+
+def reference_simplex_min_violation(a0, b):
+    """The loop-based simplex the vectorized one must match pivot for pivot."""
+    _PIVOT_EPS = ncmodels._PIVOT_EPS
+    m, n_w = a0.shape
+    full = np.hstack([a0, np.eye(m), -np.eye(m)])
+    cost = np.concatenate([np.zeros(n_w), np.ones(2 * m)])
+    tableau = np.hstack([full, b.reshape(-1, 1)])
+    basis = list(range(n_w, n_w + m))  # u_i = b_i >= 0 is a valid start
+    n_cols = full.shape[1]
+    while True:
+        reduced = cost - cost[basis] @ tableau[:, :n_cols]
+        entering = -1
+        for j in range(n_cols):
+            if reduced[j] < -_PIVOT_EPS:
+                entering = j
+                break
+        if entering < 0:
+            break
+        column = tableau[:, entering]
+        leaving = -1
+        best_ratio = np.inf
+        for i in range(m):
+            if column[i] > _PIVOT_EPS:
+                ratio = tableau[i, -1] / column[i]
+                if ratio < best_ratio - _PIVOT_EPS or (
+                    abs(ratio - best_ratio) <= _PIVOT_EPS
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise RuntimeError("violation LP reported unbounded")
+        tableau[leaving] /= tableau[leaving, entering]
+        for i in range(m):
+            if i != leaving:
+                tableau[i] -= tableau[i, entering] * tableau[leaving]
+        basis[leaving] = entering
+    solution = np.zeros(n_cols)
+    solution[basis] = np.clip(tableau[:, -1], 0.0, None)
+    return solution[:n_w], float(cost @ solution)
+
+
+def pair_indicators(n):
+    """(4n, 2^n) rows: assignment k gives pair (i, i+1) the outcome (a, b)."""
+    values = value_matrix(n)
+    return np.array(
+        [
+            (values[:, i - 1] == a) & (values[:, j - 1] == b)
+            for i, j in cycle_pair_keys(n)
+            for a, b in coarse_labels(2)
+        ],
+        dtype=float,
+    )
+
+
+def odd_signs(n, rng):
+    gamma = np.ones(n)
+    flips = rng.choice(n, size=2 * int(rng.integers((n + 1) // 2)) + 1, replace=False)
+    gamma[flips] = -1.0
+    return gamma
+
+
+def odd_cycle_pairs(n, rng, c):
+    """Unbiased singles, correlators gamma_i * c with an odd number of -1s."""
+    ab = np.array([1.0, -1.0, -1.0, 1.0])
+    return np.concatenate([(1.0 + ab * g * c) / 4.0 for g in odd_signs(n, rng)])
+
+
+def sampled_pairs(true, rng, shots=8192):
+    """Multinomial pair marginals within the LP's sampled-data tolerance."""
+    tol = lp_tolerance_for(true.size // 4, shots)
+    while True:
+        drawn = np.concatenate(
+            [
+                rng.multinomial(shots, true[r : r + 4] / true[r : r + 4].sum())
+                for r in range(0, true.size, 4)
+            ]
+        ) / shots
+        if np.abs(drawn - true).sum() <= tol:
+            return drawn
+
+
+def crushed_preset_pairs(family, rng):
+    """Readout-crushed preset contexts with a depolarized closing pair."""
+    config = preset_config(family)
+    state = prepare_state(config.state)
+    observables = resolve_observables(config.observable_set)
+    q = rng.uniform(0.0, 0.3)
+    crush = NoiseModel(readout_flip=((1.0, 0.0), (1.0 - q, q)))
+    wrap = NoiseModel(depolarizing_epsilon=rng.uniform(0.6, 1.0))
+    probs = []
+    for kind, key, ctx in cycle_contexts(observables, "fine"):
+        if kind == "pair":
+            noise = wrap if key == (5, 1) else crush
+            fine = apply_noise(joint_distribution_fine(state, ctx), noise)
+            probs.append(coarsen(fine, ctx).probs)
+    return np.concatenate(probs)
+
+
+def pivot_instances(n, rng):
+    """Marginal vectors from each oracle construction plus tie-heavy cases."""
+    ind = pair_indicators(n)
+    yield "dirichlet", ind @ rng.dirichlet(np.ones(2**n))
+    yield "sampled", sampled_pairs(ind @ rng.dirichlet(np.ones(2**n)), rng)
+    if n == 5:
+        for family in ("s1", "s2"):
+            yield "crushed", crushed_preset_pairs(family, rng)
+    yield "odd_cycle", odd_cycle_pairs(n, rng, rng.uniform(0.8, 1.0))
+    # move mass inside one pair so its second single disagrees with the next
+    p = ind @ rng.dirichlet(np.ones(2**n))
+    r = 4 * int(rng.integers(n))
+    src = r + (1 if p[r + 1] >= p[r + 3] else 3)
+    delta = 0.5 * p[src]
+    p[src] -= delta
+    p[src - 1] += delta
+    yield "disagree", p
+    yield "point", ind[:, int(rng.integers(2**n))]
+    yield "uniform", ind @ NCModel.uniform(n).weights
+    yield "odd_cycle_c1", odd_cycle_pairs(n, rng, 1.0)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_simplex_pivots_match_loop_reference(n):
+    a0 = np.vstack([pair_indicators(n), np.ones(2**n)])
+    assert np.array_equal(ncmodels._pair_constraints(n), a0)
+    rng = np.random.default_rng([20260825, n])
+    for _ in range(3 if n <= 7 else 1):
+        for kind, p in pivot_instances(n, rng):
+            b = np.append(p, 1.0)
+            weights, total = ncmodels._simplex_min_violation(a0, b)
+            ref_weights, ref_total = reference_simplex_min_violation(a0, b)
+            assert np.array_equal(weights, ref_weights), kind
+            assert total == ref_total, kind
+
+
+def test_lp_agrees_with_closed_form_cycle_facets():
+    # For no-disturbance data the n-cycle polytope's nontrivial facets are
+    # sum_i gamma_i E_i <= n - 2 over signs gamma with an odd number of -1s
+    # (Araujo et al., PRA 88, 022118 (2013)).
+    rng = np.random.default_rng(20260826)
+    ab = np.array([1.0, -1.0, -1.0, 1.0])
+    a_sign = np.array([1.0, 1.0, -1.0, -1.0])
+    b_sign = np.array([1.0, -1.0, 1.0, -1.0])
+    for n in range(3, 12):
+        signs = value_matrix(n)
+        odd = signs[(signs < 0).sum(axis=1) % 2 == 1]
+        verdicts = set()
+        for k in range(24 if n <= 7 else 8 if n <= 9 else 4):
+            if k % 2 == 0:
+                # anywhere in the pair polytopes: mostly feasible
+                m = rng.uniform(-0.3, 0.3, n)
+                mi, mj = m, np.roll(m, -1)
+                corr = rng.uniform(-1.0 + np.abs(mi + mj), 1.0 - np.abs(mi - mj))
+            else:
+                # odd cycles 1e-5 to 1e-2 inside or outside their facet
+                m = rng.uniform(-0.03, 0.03, n)
+                mi, mj = m, np.roll(m, -1)
+                gap = (-1) ** (k // 2) * 10 ** rng.uniform(-5, -2)
+                jitter = rng.uniform(-0.05, 0.05, n)
+                c = (n - 2 + gap) / n + jitter - jitter.mean()
+                corr = odd_signs(n, rng) * c
+            facet = float((odd @ corr).max())
+            if abs(facet - (n - 2)) <= 1e-6:
+                continue
+            pairs = {
+                key: OutcomeDistribution(
+                    coarse_labels(2),
+                    (1.0 + a_sign * mi[i] + b_sign * mj[i] + ab * corr[i]) / 4.0,
+                )
+                for i, key in enumerate(cycle_pair_keys(n))
+            }
+            feasible = lp_feasibility(pairs, n).feasible
+            assert feasible == (facet <= n - 2), (n, k, facet)
+            verdicts.add(feasible)
+        assert verdicts == {True, False}, n
