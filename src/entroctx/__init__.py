@@ -16,7 +16,6 @@ from .contexts import (
     export_measurement_circuit,
     joint_distribution_coarse,
     joint_distribution_fine,
-    local_basis,
 )
 from .entropy import (
     EntropyReport,

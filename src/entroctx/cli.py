@@ -184,11 +184,8 @@ def _cmd_fit_noise(args) -> int:
 
 def _cmd_export_qasm(args) -> int:
     config = _effective_config(args)
-    written, skipped = export_qasm_suite(config, args.out or "qasm")
-    for path in written:
+    for path in export_qasm_suite(config, args.out or "qasm"):
         print(path)
-    for label, reason in skipped:
-        print(f"skipped {label}: {reason}")
     return 0
 
 

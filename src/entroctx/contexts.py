@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliString, as_pauli, commutes, eigenprojectors
-from .statevec import GateOp, QuantumState, circuit_unitary
+from .pauli import PauliString, as_pauli, commutes, matrix
+from .statevec import GateOp, QuantumState, apply_circuit, circuit_unitary
 
 _SIGNS = (+1, -1)
 
@@ -77,45 +78,8 @@ def coarse_labels(n_observables: int) -> tuple[tuple[int, ...], ...]:
 def joint_distribution_coarse(
     state: QuantumState, context: MeasurementContext
 ) -> OutcomeDistribution:
-    """Eigenvalue-outcome distribution p(a) or p(a, b) = <psi|Pa Pb|psi>.
-
-    Projector order is irrelevant because the observables commute.
-    """
-    projs = [eigenprojectors(o) for o in context.observables]
-    labels = coarse_labels(len(context.observables))
-    amps = state.amplitudes
-    probs = []
-    for combo in labels:
-        op = projs[0][0 if combo[0] > 0 else 1]
-        for k in range(1, len(combo)):
-            op = op @ projs[k][0 if combo[k] > 0 else 1]
-        probs.append(float(np.real(amps.conj() @ (op @ amps))))
-    return OutcomeDistribution(labels, np.clip(probs, 0.0, 1.0))
-
-
-def local_basis(context: MeasurementContext) -> list[str] | None:
-    """Per-qubit measurement letter if one local basis fits all observables.
-
-    A qubit where one observable reads I inherits the other observable's
-    letter; a qubit that is I everywhere defaults to Z. Returns None when
-    two observables demand different letters on the same qubit.
-    """
-    basis = []
-    for j in range(context.n_qubits):
-        letters = {o.letters[j] for o in context.observables} - {"I"}
-        if len(letters) > 1:
-            return None
-        basis.append(letters.pop() if letters else "Z")
-    return basis
-
-
-def _is_bell_type(context: MeasurementContext) -> bool:
-    # Two observables that anticommute at every site share a nondegenerate
-    # entangled eigenbasis; on two qubits the joint projectors are rank 1.
-    if len(context.observables) != 2 or context.n_qubits != 2:
-        return False
-    p, q = (o.letters for o in context.observables)
-    return all(a != "I" and b != "I" and a != b for a, b in zip(p, q))
+    """Eigenvalue-outcome distribution p(a) or p(a, b): the fine records binned."""
+    return coarsen(joint_distribution_fine(state, context), context)
 
 
 _ROTATE = {
@@ -124,78 +88,81 @@ _ROTATE = {
     "Y": ["sdg", "h"],
 }
 
+# Letter pair (p, q) on a qubit where the observables conflict -> gates
+# taking p to +Z and q to +X there.
+_TO_ZX = {
+    ("Z", "X"): [],
+    ("X", "Z"): ["h"],
+    ("Z", "Y"): ["sdg"],
+    ("Y", "Z"): ["sdg", "h"],
+    ("Y", "X"): ["sdg", "h", "sdg"],
+    ("X", "Y"): ["h", "sdg", "sdg", "sdg"],
+}
+
 
 def basis_change_gates(context: MeasurementContext) -> list[GateOp]:
-    """Gates mapping the context's common eigenbasis to the Z basis.
+    """Clifford gates mapping each observable of the context to a Z-string.
 
-    Local contexts get per-qubit rotations (H for X; Sdg then H for Y);
-    the (ZZ, XX) pair gets the Bell template, a CNOT followed by H on the
-    control. Anything else raises.
+    A qubit where the observables agree, or where one reads I, is rotated
+    into its letter's basis (H for X; Sdg then H for Y; a qubit that is I
+    everywhere stays in Z). On the conflicting qubits C (an even number,
+    since the observables commute) the first observable is taken to Z and
+    the second to X on every qubit; CNOTs from the last qubit of C onto
+    the others then leave Z on C minus its last qubit and X on the last,
+    which a final H turns into Z. A two-qubit pair thus reads the first
+    observable on the first record bit and the second on the second.
     """
-    basis = local_basis(context)
-    if basis is not None:
-        gates = []
-        for j, letter in enumerate(basis):
-            gates.extend(GateOp(kind, (j,)) for kind in _ROTATE[letter])
-        return gates
-    if {o.letters for o in context.observables} == {"ZZ", "XX"}:
-        return [GateOp("cnot", (0, 1)), GateOp("h", (0,))]
-    pair = " and ".join(str(o) for o in context.observables)
-    raise ValueError(f"unsupported entangled context: {pair}")
+    gates, conflicts = [], []
+    for j, letters in enumerate(zip(*(o.letters for o in context.observables))):
+        used = set(letters) - {"I"}
+        if len(used) == 2:
+            conflicts.append(j)
+            kinds = _TO_ZX[letters]
+        else:
+            kinds = _ROTATE[used.pop() if used else "Z"]
+        gates.extend(GateOp(kind, (j,)) for kind in kinds)
+    if conflicts:
+        *others, last = conflicts
+        gates.extend(GateOp("cnot", (last, t)) for t in others)
+        gates.append(GateOp("h", (last,)))
+    return gates
 
 
 def joint_distribution_fine(
     state: QuantumState, context: MeasurementContext
 ) -> OutcomeDistribution:
-    """Distribution of the full readout record in a diagonalizing basis.
+    """Distribution of the readout record after the context's basis change.
 
-    Local contexts: rotate each qubit into its basis letter and read the
-    computational-basis probabilities; labels are n-bit strings, most
-    significant qubit first. Sitewise-anticommuting pairs: measure in the
-    simultaneous eigenbasis; each rank-1 joint eigenspace is one basis
-    vector, recorded as one bit per observable (0 for eigenvalue +1).
+    Labels are n-bit strings, most significant qubit first: exactly what
+    the exported circuit of the context reads out.
     """
-    basis = local_basis(context)
+    psi = apply_circuit(state, basis_change_gates(context))
+    probs = np.abs(psi.amplitudes) ** 2
     n = context.n_qubits
-    if basis is not None:
-        psi = state
-        from .statevec import apply_gate
+    labels = tuple(format(b, f"0{n}b") for b in range(2**n))
+    return OutcomeDistribution(labels, probs / probs.sum())
 
-        for j, letter in enumerate(basis):
-            for kind in _ROTATE[letter]:
-                psi = apply_gate(psi, GateOp(kind, (j,)))
-        probs = np.abs(psi.amplitudes) ** 2
-        labels = tuple(format(b, f"0{n}b") for b in range(2**n))
-        return OutcomeDistribution(labels, probs / probs.sum())
-    if _is_bell_type(context):
-        coarse = joint_distribution_coarse(state, context)
-        labels = tuple(
-            "".join("0" if v > 0 else "1" for v in combo)
-            for combo in coarse.labels
-        )
-        return OutcomeDistribution(labels, coarse.probs)
-    raise ValueError("fine-grained basis unavailable")
+
+@lru_cache(maxsize=None)
+def _eigenvalue_table(observables: tuple[PauliString, ...]) -> tuple:
+    """Eigenvalue tuple of every readout record, from diag(U P U^dagger)."""
+    u = basis_change_unitary(MeasurementContext(observables))
+    columns = []
+    for o in observables:
+        conj = u @ matrix(o) @ u.conj().T
+        signs = np.sign(np.diag(conj).real)
+        if np.abs(conj - np.diag(signs)).max() > 1e-12:
+            raise ValueError(f"basis change does not diagonalize {o} to +/-1")
+        columns.append(signs.astype(int).tolist())
+    return tuple(zip(*columns))
 
 
 def record_eigenvalues(context: MeasurementContext, label: str) -> tuple[int, ...]:
     """Map one fine record label to the eigenvalue tuple it implies."""
-    bits = [1 if ch == "0" else -1 for ch in label]
-    if local_basis(context) is not None:
-        if len(label) != context.n_qubits:
-            raise ValueError("missing eigenvalue map: bad record length")
-        values = []
-        for o in context.observables:
-            v = 1
-            for j, letter in enumerate(o.letters):
-                if letter != "I":
-                    v *= bits[j]
-            values.append(v)
-        return tuple(values)
-    if _is_bell_type(context):
-        if len(label) != len(context.observables):
-            raise ValueError("missing eigenvalue map: bad record length")
-        return tuple(bits)
-    raise ValueError("missing eigenvalue map for this context")
+    n = context.n_qubits
+    if len(label) != n or set(label) - {"0", "1"}:
+        raise ValueError(f"bad record length or bits: {label!r} for {n} qubits")
+    return _eigenvalue_table(context.observables)[int(label, 2)]
 
 
 def coarsen(
@@ -223,10 +190,7 @@ def _qasm_gate(gate: GateOp, n: int) -> str:
 def export_measurement_circuit(
     context: MeasurementContext, prep: list[GateOp] | None = None
 ) -> str:
-    """OpenQASM 2.0 text: prep gates, basis change, terminal measurement.
-
-    Raises for entangled contexts outside the (ZZ, XX) Bell template.
-    """
+    """OpenQASM 2.0 text: prep gates, basis change, terminal measurement."""
     rotation = basis_change_gates(context)
     n = context.n_qubits
     lines = [

@@ -125,35 +125,24 @@ def cycle_contexts(
     return entries
 
 
-def _exact_entries(state: QuantumState, observables, convention: str, flags: list):
-    """Exact (kind, key, ctx, dist) in cycle_contexts order. A fine context
-    without a fine-grained basis falls back to coarse and adds a flag."""
-    entries = []
-    for kind, key, ctx in cycle_contexts(observables, convention):
-        if convention == "coarse":
-            dist = joint_distribution_coarse(state, ctx)
-        else:
-            try:
-                dist = joint_distribution_fine(state, ctx)
-            except ValueError:
-                flags.append(
-                    f"fine-grained basis unavailable for context {ctx.label_text()}; "
-                    "coarse convention used"
-                )
-                dist = joint_distribution_coarse(state, ctx)
-        entries.append((kind, key, ctx, dist))
-    return entries
+def _exact_entries(state: QuantumState, observables, convention: str):
+    """Exact (kind, key, ctx, dist) in cycle_contexts order."""
+    joint = {"coarse": joint_distribution_coarse, "fine": joint_distribution_fine}
+    return [
+        (kind, key, ctx, joint[convention](state, ctx))
+        for kind, key, ctx in cycle_contexts(observables, convention)
+    ]
 
 
 def _dists(entries, kind: str) -> dict:
     return {key: dist for k, key, _, dist in entries if k == kind}
 
 
-def _report(entries, convention: str, n: int, flags=()) -> EntropyReport:
+def _report(entries, convention: str, n: int) -> EntropyReport:
     """Entries -> entropies -> witness M."""
     h_singles = {i: shannon_entropy(d) for i, d in _dists(entries, "single").items()}
     h_pairs = {key: shannon_entropy(d) for key, d in _dists(entries, "pair").items()}
-    return EntropyReport.from_entropies(h_singles, h_pairs, convention, n, tuple(flags))
+    return EntropyReport.from_entropies(h_singles, h_pairs, convention, n)
 
 
 def _coarse_pairs(entries) -> dict[tuple[int, int], OutcomeDistribution]:
@@ -199,10 +188,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """
     observables = resolve_observables(config.observable_set)
     n = len(observables)
-    flags: list[str] = []
-    entries = _exact_entries(
-        prepare_state(config.state), observables, config.convention, flags
-    )
+    state = prepare_state(config.state)
+    entries = _exact_entries(state, observables, config.convention)
     counts: dict[object, CountsRecord] = {}
     for position, (kind, key, ctx, dist) in enumerate(entries):
         if config.noise is not None and not config.noise.is_trivial:
@@ -215,7 +202,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             dist = entropies_from_counts(record)
         entries[position] = (kind, key, ctx, dist)
 
-    report = _report(entries, config.convention, n, flags)
+    report = _report(entries, config.convention, n)
     coarse_pairs = _coarse_pairs(entries)
     feasibility = lp_feasibility(
         coarse_pairs, n, lp_tolerance_for(n, config.shots)
@@ -363,7 +350,7 @@ def exact_m(
     convention: str,
 ) -> float:
     """Witness value of the exact simulation in one convention."""
-    entries = _exact_entries(state, observables, convention, [])
+    entries = _exact_entries(state, observables, convention)
     return _report(entries, convention, len(observables)).m_value
 
 
@@ -387,14 +374,15 @@ def sweep(
                         family=family, alpha=float(alpha), beta=float(beta)
                     )
                 )
-            except ValueError:
-                # degenerate family point (null vector); no state, no row
-                continue
-            # one coarse pass feeds both the coarse witness and the LP
-            entries = _exact_entries(state, observables, "coarse", [])
-            m_coarse = _report(entries, "coarse", n).m_value
-            m_fine = exact_m(state, observables, "fine")
-            lp = lp_feasibility(_coarse_pairs(entries), n, lp_tolerance_for(n, EXACT))
+            except ValueError as exc:
+                point = f"(alpha, beta) = ({alpha}, {beta})"
+                raise ValueError(f"{exc} at {point}") from None
+            # one fine pass; its records binned feed the coarse witness and the LP
+            fine = _exact_entries(state, observables, "fine")
+            coarse = [(kind, key, ctx, coarsen(d, ctx)) for kind, key, ctx, d in fine]
+            m_coarse = _report(coarse, "coarse", n).m_value
+            m_fine = _report(fine, "fine", n).m_value
+            lp = lp_feasibility(_dists(coarse, "pair"), n, lp_tolerance_for(n, EXACT))
             rows.append((float(alpha), float(beta), m_coarse, m_fine, lp.feasible))
     rows.sort(key=lambda r: (r[0], r[1]))
     if out:
@@ -422,30 +410,19 @@ def context_file_stem(kind: str, key) -> str:
     return f"pair_x{key[0]}x{key[1]}"
 
 
-def export_qasm_suite(
-    config: ExperimentConfig, out_dir: str
-) -> tuple[list[Path], list[tuple[str, str]]]:
-    """One OpenQASM file per supported context; unsupported ones listed.
-
-    Returns (written paths, [(context label, reason) for skipped]).
-    """
+def export_qasm_suite(config: ExperimentConfig, out_dir: str) -> list[Path]:
+    """One OpenQASM file per cycle context; returns the written paths."""
     observables = resolve_observables(config.observable_set)
     prep = synthesize_prep_circuit(config.state)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    skipped: list[tuple[str, str]] = []
     for kind, key, ctx in cycle_contexts(observables, config.convention):
         letters = "_".join(str(o) for o in ctx.observables)
         path = out / f"{context_file_stem(kind, key)}_{letters}.qasm"
-        try:
-            text = export_measurement_circuit(ctx, prep)
-        except ValueError as exc:
-            skipped.append((ctx.label_text(), str(exc)))
-            continue
-        path.write_text(text)
+        path.write_text(export_measurement_circuit(ctx, prep))
         written.append(path)
-    return written, skipped
+    return written
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -491,21 +491,15 @@ def test_criterion_10_exported_circuits_diagonalize(verdict, tmp_path):
     worst = 0.0
     files_checked = 0
     counts_ok = True
-    skip_report = ""
-    for preset, want_written, want_skipped in (("s1", 8, 0), ("s2", 3, 5)):
+    for preset in ("s1", "s2"):
         config = preset_config(preset)
-        written, skipped = export_qasm_suite(config, str(tmp_path / preset))
-        counts_ok = counts_ok and (len(written), len(skipped)) == (
-            want_written,
-            want_skipped,
-        )
+        written = export_qasm_suite(config, str(tmp_path / preset))
+        counts_ok = counts_ok and len(written) == 8
         by_name = {p.name: p for p in written}
         observables = resolve_observables(config.observable_set)
         for kind, key, ctx in cycle_contexts(observables, config.convention):
             letter_list = [str(o) for o in ctx.observables]
             name = f"{context_file_stem(kind, key)}_{'_'.join(letter_list)}.qasm"
-            if name not in by_name:
-                continue
             n = len(letter_list[0])
             u = _unitary_from_qasm(by_name[name].read_text(), n)
             for text in letter_list:
@@ -519,19 +513,11 @@ def test_criterion_10_exported_circuits_diagonalize(verdict, tmp_path):
                     float(np.abs(diag.imag).max()),
                 )
             files_checked += 1
-        if preset == "s2":
-            labels = {label for label, _ in skipped}
-            reasons_ok = all(
-                "unsupported entangled context" in reason for _, reason in skipped
-            )
-            expected = {"ZZ,YX", "YX,XZ", "XZ,ZX", "ZX,XY", "XY,ZZ"}
-            counts_ok = counts_ok and labels == expected and reasons_ok
-            skip_report = "; 5 entangled contexts listed as unsupported"
-    ok = counts_ok and files_checked == 11 and worst <= 1e-12
+    ok = counts_ok and files_checked == 16 and worst <= 1e-12
     verdict(
         10,
         ok,
         f"{files_checked} exported circuits re-parsed from QASM diagonalize "
         f"their observables to +/-1 (worst deviation {worst:.3e}, tolerance "
-        f"1e-12){skip_report}",
+        f"1e-12)",
     )

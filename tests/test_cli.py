@@ -204,9 +204,10 @@ def test_export_qasm_full_and_partial(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert len(list(out_dir2.glob("*.qasm"))) == 3
-    assert out.count("skipped") == 5
-    assert "unsupported entangled context" in out
+    assert len(list(out_dir2.glob("*.qasm"))) == 8
+    lines = out.splitlines()
+    assert len(lines) == 8 and all(line.endswith(".qasm") for line in lines)
+    assert "skipped" not in out
 
 
 def test_reproduce_paper_output(capsys):
@@ -226,8 +227,8 @@ def test_error_exit_code(tmp_path, capsys):
 
 
 def test_fit_noise_uses_coarse_fallback_like_simulate(tmp_path, capsys):
-    # YYZ has no local basis shared with XXI or ZZI: simulate falls back to
-    # the coarse convention there with a flag, and fit-noise must do the same
+    # YYZ has no local basis shared with XXI or ZZI; its pairs read full
+    # 3-bit records in simulate and fit-noise alike, with no fallback flag
     config_file = tmp_path / "cycle3.json"
     config_file.write_text(
         json.dumps(
@@ -241,7 +242,7 @@ def test_fit_noise_uses_coarse_fallback_like_simulate(tmp_path, capsys):
     report_file = tmp_path / "cycle3_report.json"
     code = run_cli("simulate", "--config", str(config_file), "--out", str(report_file))
     assert code == 0
-    assert "coarse convention used" in capsys.readouterr().out
+    assert "flag:" not in capsys.readouterr().out
     code = run_cli(
         "fit-noise", "--config", str(config_file), "--target", str(report_file)
     )
@@ -256,6 +257,18 @@ def test_fit_noise_uses_coarse_fallback_like_simulate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: target has 5 observables")
+
+
+def test_sweep_degenerate_point_exits_with_error(capsys):
+    code = run_cli(
+        "sweep", "--alpha-start", "0", "--alpha-stop", "1.5707963267948966",
+        "--alpha-steps", "2", "--beta-stop", "0", "--beta-steps", "1",
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: family s1 parameters give the null vector")
+    assert "at (alpha, beta) = (1.5707963267948966, 0.0)" in captured.err
 
 
 def test_malformed_entropy_files_exit_with_error(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from entroctx import contexts
 from entroctx.contexts import (
     MeasurementContext,
     OutcomeDistribution,
@@ -11,12 +14,18 @@ from entroctx.contexts import (
     export_measurement_circuit,
     joint_distribution_coarse,
     joint_distribution_fine,
-    local_basis,
     record_eigenvalues,
 )
-from entroctx.pauli import OBSERVABLE_SETS, PauliString, matrix
+from entroctx.pauli import (
+    OBSERVABLE_SETS,
+    PauliString,
+    commutes,
+    eigenprojectors,
+    matrix,
+)
 from entroctx.statevec import (
     PRESET_S1,
+    PRESET_S2,
     QuantumState,
     prepare_state,
     synthesize_prep_circuit,
@@ -28,6 +37,34 @@ def all_preset_contexts(name: str) -> list[MeasurementContext]:
     singles = [MeasurementContext((obs[i],)) for i in (1, 2, 3)]
     pairs = [MeasurementContext((obs[i], obs[(i + 1) % 5])) for i in range(5)]
     return singles + pairs
+
+
+def random_state(rng, n: int) -> QuantumState:
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return QuantumState(amps / np.linalg.norm(amps))
+
+
+def projector_reference(state: QuantumState, ctx: MeasurementContext) -> dict:
+    """<psi|P_a P_b|psi> from the observables' eigenprojectors."""
+    projs = [eigenprojectors(o) for o in ctx.observables]
+    table = {}
+    for combo in coarse_labels(len(projs)):
+        op = np.eye(2**ctx.n_qubits)
+        for proj, a in zip(projs, combo):
+            op = op @ proj[0 if a > 0 else 1]
+        table[combo] = float(np.real(state.amplitudes.conj() @ op @ state.amplitudes))
+    return table
+
+
+def assert_matches_projectors(state, ctx):
+    reference = projector_reference(state, ctx)
+    for dist in (
+        joint_distribution_coarse(state, ctx),
+        coarsen(joint_distribution_fine(state, ctx), ctx),
+    ):
+        assert dist.labels == coarse_labels(len(ctx.observables))
+        for label, p in dist.as_dict().items():
+            assert abs(p - reference[label]) <= 1e-12
 
 
 def test_context_validation():
@@ -109,11 +146,25 @@ def test_coarse_marginal_consistency():
                     assert total == pytest.approx(single[(a,)], abs=1e-12)
 
 
+def gate_list(*texts):
+    return [(g.kind, g.qubits) for g in basis_change_gates(MeasurementContext(texts))]
+
+
 def test_local_basis_rules():
-    assert local_basis(MeasurementContext((PauliString("XX"), PauliString("XI")))) == ["X", "X"]
-    assert local_basis(MeasurementContext((PauliString("IZ"), PauliString("ZZ")))) == ["Z", "Z"]
-    assert local_basis(MeasurementContext((PauliString("XI"),))) == ["X", "Z"]
-    assert local_basis(MeasurementContext((PauliString("ZZ"), PauliString("XX")))) is None
+    # a qubit where one observable reads I takes the other's letter; a
+    # qubit that is I everywhere stays in Z
+    assert gate_list("XX", "XI") == [("h", (0,)), ("h", (1,))]
+    assert gate_list("IZ", "ZZ") == []
+    assert gate_list("XI") == [("h", (0,))]
+    assert gate_list("IY", "ZY") == [("sdg", (1,)), ("h", (1,))]
+    # conflicting letters: to (Z, X) per qubit, CNOTs from the last
+    # conflicting qubit, H on it
+    assert gate_list("ZZ", "XX") == [("cnot", (1, 0)), ("h", (1,))]
+    assert gate_list("ZZ", "YX") == [("sdg", (0,)), ("cnot", (1, 0)), ("h", (1,))]
+    assert gate_list("XZI", "YYZ") == [
+        ("h", (0,)), ("sdg", (0,)), ("sdg", (0,)), ("sdg", (0,)),
+        ("sdg", (1,)), ("cnot", (1, 0)), ("h", (1,)),
+    ]
 
 
 def test_fine_deterministic_record():
@@ -161,24 +212,56 @@ def test_fine_available_for_all_preset_contexts():
             assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_fine_unavailable_error():
-    # three qubits, conflicting letters on site 0, not a two-qubit
-    # sitewise-anticommuting pair: no supported eigenbasis
+def test_fine_records_for_three_qubit_conflicts():
+    # three qubits with conflicting letters on two of them: the readout
+    # record has one bit per qubit and bins to the projector probabilities
     ctx = MeasurementContext((PauliString("XXI"), PauliString("ZZI")))
-    state = QuantumState(np.eye(8)[0].astype(complex))
-    with pytest.raises(ValueError, match="fine-grained basis unavailable"):
-        joint_distribution_fine(state, ctx)
+    state = random_state(np.random.default_rng(3), 3)
+    fine = joint_distribution_fine(state, ctx)
+    assert fine.labels == tuple(format(b, "03b") for b in range(8))
+    assert_matches_projectors(state, ctx)
+    zero = QuantumState(np.eye(8)[0].astype(complex))
+    assert joint_distribution_coarse(zero, ctx).as_dict()[(+1, +1)] == pytest.approx(
+        0.5, abs=1e-12
+    )
 
 
 def test_coarsen_matches_coarse_for_all_preset_contexts():
-    for name, preset in (("table1", PRESET_S1), ("table2", PRESET_S1)):
-        state = prepare_state(preset)
+    rng = np.random.default_rng(11)
+    states = [prepare_state(PRESET_S1), prepare_state(PRESET_S2)]
+    states += [random_state(rng, 2) for _ in range(4)]
+    for name in ("table1", "table2"):
         for ctx in all_preset_contexts(name):
-            fine = joint_distribution_fine(state, ctx)
-            binned = coarsen(fine, ctx).as_dict()
-            direct = joint_distribution_coarse(state, ctx).as_dict()
-            for label, value in direct.items():
-                assert binned[label] == pytest.approx(value, abs=1e-10)
+            for state in states:
+                assert_matches_projectors(state, ctx)
+
+
+@pytest.mark.parametrize("pair", list(contexts._TO_ZX))
+def test_coarse_matches_projectors_for_each_conflicting_letter_pair(pair):
+    # the letter pair sits on either qubit of a two-qubit pair and on
+    # either observable; the other qubit conflicts as well (Z against X)
+    p, q = pair
+    rng = np.random.default_rng(ord(p) * 100 + ord(q))
+    for first, second in ((p + "Z", q + "X"), ("Z" + p, "X" + q), ("X" + p, "Z" + q)):
+        ctx = MeasurementContext((PauliString(first), PauliString(second)))
+        for _ in range(3):
+            assert_matches_projectors(random_state(rng, 2), ctx)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_coarse_matches_projectors_for_random_commuting_pairs(n):
+    rng = np.random.default_rng(100 + n)
+    letters = ["".join(t) for t in itertools.product("IXYZ", repeat=n)][1:]
+    checked = 0
+    while checked < 40:
+        a, b = rng.choice(letters, size=2)
+        if a == b or not commutes(a, b):
+            continue
+        ctx = MeasurementContext((PauliString(a), PauliString(b)))
+        assert_matches_projectors(random_state(rng, n), ctx)
+        single = MeasurementContext((PauliString(a),))
+        assert_matches_projectors(random_state(rng, n), single)
+        checked += 1
 
 
 def test_coarsen_uniform_records_under_zz():
@@ -192,6 +275,10 @@ def test_record_eigenvalues_length_check():
     ctx = MeasurementContext((PauliString("ZZ"),))
     with pytest.raises(ValueError, match="record length"):
         record_eigenvalues(ctx, "0")
+    # labels int() would accept are still not records
+    for label in ("-1", "+1", "0a", "1_"):
+        with pytest.raises(ValueError, match="record length or bits"):
+            record_eigenvalues(ctx, label)
 
 
 def test_export_x_basis_rotations():
@@ -214,8 +301,7 @@ def test_export_bell_template():
     ctx = MeasurementContext((PauliString("ZZ"), PauliString("XX")))
     text = export_measurement_circuit(ctx)
     basis_section = text.split("// basis change")[1].split("// readout")[0]
-    assert "cx q[1], q[0];" in basis_section
-    assert "h q[1];" in basis_section.split("cx")[1]
+    assert basis_section.split() == ["cx", "q[0],", "q[1];", "h", "q[0];"]
 
 
 def test_export_includes_prep_gates():
@@ -226,10 +312,13 @@ def test_export_includes_prep_gates():
     assert prep_section.count("u3(") == 2
 
 
-def test_export_rejects_unsupported_pair():
-    ctx = MeasurementContext((PauliString("ZZ"), PauliString("YX")))
-    with pytest.raises(ValueError, match="ZZ and YX"):
-        export_measurement_circuit(ctx)
+def test_export_entangled_s2_pairs():
+    # every table2 pair conflicts on both qubits; each exports one CNOT
+    for ctx in all_preset_contexts("table2")[3:]:
+        text = export_measurement_circuit(ctx)
+        basis_section = text.split("// basis change")[1].split("// readout")[0]
+        assert basis_section.count("cx q[0], q[1];") == 1
+        assert basis_section.strip().endswith("h q[0];")
 
 
 def test_sdg_h_rotation_for_y():
@@ -240,14 +329,34 @@ def test_sdg_h_rotation_for_y():
 def test_basis_change_diagonalizes_every_supported_context():
     for name in ("table1", "table2"):
         for ctx in all_preset_contexts(name):
-            try:
-                u = basis_change_unitary(ctx)
-            except ValueError:
-                continue
-            for obs in ctx.observables:
+            u = basis_change_unitary(ctx)
+            for k, obs in enumerate(ctx.observables):
                 conj = u @ matrix(obs) @ u.conj().T
                 off = conj - np.diag(np.diag(conj))
                 assert np.abs(off).max() < 1e-12
+                values = [record_eigenvalues(ctx, f"{b:02b}")[k] for b in range(4)]
+                assert np.abs(np.diag(conj) - values).max() < 1e-12
+
+
+def test_preset_pair_records_read_observables_in_order():
+    # a two-qubit pair's first record bit is the first observable's sign
+    for name in ("table1", "table2"):
+        for ctx in all_preset_contexts(name)[3:]:
+            if any("I" in o.letters for o in ctx.observables):
+                continue
+            assert [record_eigenvalues(ctx, lb) for lb in ("00", "01", "10", "11")] == [
+                (+1, +1), (+1, -1), (-1, +1), (-1, -1)
+            ]
+
+
+def test_eigenvalue_map_rejects_a_non_diagonalizing_circuit(monkeypatch):
+    monkeypatch.setattr(contexts, "basis_change_gates", lambda ctx: [])
+    contexts._eigenvalue_table.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="does not diagonalize XX"):
+            record_eigenvalues(MeasurementContext((PauliString("XX"),)), "00")
+    finally:
+        contexts._eigenvalue_table.cache_clear()
 
 
 def test_coarse_labels_order():

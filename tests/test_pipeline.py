@@ -1,13 +1,17 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entroctx.contexts import OutcomeDistribution, coarsen, joint_distribution_fine
 from entroctx.pipeline import (
     EXACT,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
+    context_file_stem,
     cycle_contexts,
     exact_m,
     export_qasm_suite,
@@ -20,12 +24,18 @@ from entroctx.pipeline import (
     resolve_observables,
     run_experiment,
     sweep,
-    sweep_summary,
     write_sampled_counts,
 )
 from entroctx.reports import read_counts, read_report, report_to_dict
-from entroctx.sampling import NoiseModel
-from entroctx.statevec import PRESET_S1, StatePrepSpec, prepare_state
+from entroctx.sampling import NoiseModel, sample_counts
+from entroctx.statevec import (
+    PRESET_S1,
+    GateOp,
+    QuantumState,
+    StatePrepSpec,
+    apply_circuit,
+    prepare_state,
+)
 
 S1_COARSE_M = -2.490998900332338
 S2_COARSE_M = -2.321121317385921
@@ -86,9 +96,9 @@ def test_sampled_run_reproducible_and_near_exact():
     assert all(r.shots == 8192 for r in result.counts.values())
 
 
-def test_fine_falls_back_to_coarse_with_flag():
+def test_fine_three_qubit_cycle_reads_records_without_fallback():
     # valid 3-qubit cycle; pairs (XXI, ZZI) and (ZZX, XXX) have no local
-    # basis and are not the two-qubit entangled template
+    # basis, yet every context reads a 3-bit record and no flag is raised
     config = ExperimentConfig(
         observable_set=("XXI", "ZZI", "IIX", "ZZX", "XXX"),
         state=StatePrepSpec(
@@ -98,8 +108,12 @@ def test_fine_falls_back_to_coarse_with_flag():
         convention="fine",
     )
     result = run_experiment(config)
-    fallbacks = [f for f in result.report.flags if "fine-grained basis unavailable" in f]
-    assert len(fallbacks) == 2
+    assert result.report.flags == ()
+    for dist in [*result.single_dists.values(), *result.pair_dists.values()]:
+        assert dist.labels == tuple(format(b, "03b") for b in range(8))
+    coarse = run_experiment(replace(config, convention="coarse"))
+    for key, dist in coarse.coarse_pairs.items():
+        assert np.abs(dist.probs - result.coarse_pairs[key].probs).max() <= 1e-12
 
 
 def test_report_file_round_trip_bit_for_bit(tmp_path):
@@ -232,23 +246,102 @@ def test_sweep_periodicity_on_diagonal():
     assert first[3] == pytest.approx(last[3], abs=1e-10)
 
 
-def test_sweep_skips_degenerate_points():
-    rows = sweep("s1", [0.0, np.pi / 2], [0.0], "table1")
+def test_sweep_rejects_degenerate_points():
     # alpha = pi/2, beta = 0 is the null vector for family s1
-    assert len(rows) == 1
-    summary = sweep_summary(rows)
-    assert "max_m_coarse" in summary
+    point = r"\(alpha, beta\) = \(1.5707963267948966, 0.0\)"
+    with pytest.raises(ValueError, match=f"family s1 .*null vector at {point}"):
+        sweep("s1", [0.0, np.pi / 2], [0.0], "table1")
+    assert len(sweep("s1", [0.0, np.pi / 3], [0.0], "table1")) == 2
 
 
 def test_export_suite_counts(tmp_path):
-    written, skipped = export_qasm_suite(preset_config("s1"), tmp_path / "q1")
-    assert len(written) == 8 and not skipped
+    written = export_qasm_suite(preset_config("s1"), tmp_path / "q1")
+    assert len(written) == 8
     text = (tmp_path / "q1").joinpath(written[0].name).read_text()
     assert text.startswith("OPENQASM 2.0;")
-    written2, skipped2 = export_qasm_suite(preset_config("s2"), tmp_path / "q2")
-    assert len(written2) == 3
-    assert len(skipped2) == 5
-    assert all("unsupported entangled context" in reason for _, reason in skipped2)
+    written2 = export_qasm_suite(preset_config("s2"), tmp_path / "q2")
+    assert len(written2) == 8
+    pairs = [p.name for p in written2 if p.name.startswith("pair_")]
+    assert pairs == [
+        "pair_x1x2_ZZ_YX.qasm",
+        "pair_x2x3_YX_XZ.qasm",
+        "pair_x3x4_XZ_ZX.qasm",
+        "pair_x4x5_ZX_XY.qasm",
+        "pair_x5x1_XY_ZZ.qasm",
+    ]
+    for name in pairs:
+        assert "cx q[0], q[1];" in (tmp_path / "q2" / name).read_text()
+
+
+def _gates_from_qasm(section: str, n: int) -> list:
+    gates = []
+    for kind, params, regs in re.findall(
+        r"^(u3|h|sdg|cx)(?:\(([^)]*)\))? (q\[\d+\](?:, q\[\d+\])?);$", section, re.M
+    ):
+        # hardware register q[k] is letter index n - 1 - k
+        qubits = tuple(n - 1 - int(k) for k in re.findall(r"q\[(\d+)\]", regs))
+        values = tuple(float(x) for x in params.split(",")) if params else ()
+        gates.append(GateOp("cnot" if kind == "cx" else kind, qubits, values))
+    return gates
+
+
+def _run_qasm(text: str) -> tuple:
+    """(prepared state, readout distribution) of an exported circuit."""
+    n = int(re.search(r"qreg q\[(\d+)\];", text).group(1))
+    prep, rest = text.split("// state preparation")[1].split("// basis change")
+    basis, readout = rest.split("// readout")
+    measures = [f"measure q[{k}] -> c[{k}];" for k in range(n)]
+    assert readout.strip().splitlines() == measures
+    zero = QuantumState(np.eye(2**n, dtype=complex)[0])
+    psi = apply_circuit(zero, _gates_from_qasm(prep, n))
+    out = apply_circuit(psi, _gates_from_qasm(basis, n))
+    return psi, {format(b, f"0{n}b"): abs(a) ** 2 for b, a in enumerate(out.amplitudes)}
+
+
+def _product_state(rng, n: int) -> tuple:
+    amps = np.ones(1, dtype=complex)
+    for _ in range(n):
+        qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
+        amps = np.kron(amps, qubit / np.linalg.norm(qubit))
+    return tuple(amps)
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "cycle3"])
+def test_exported_circuit_readout_matches_fine_records(tmp_path, name):
+    # hardware counts of the exported circuits must be read by the same
+    # record map the simulation uses, context by context
+    if name == "cycle3":
+        amps = _product_state(np.random.default_rng(5), 3)
+        config = ExperimentConfig(
+            observable_set=("XXI", "YYZ", "ZZI"),
+            state=StatePrepSpec(family="explicit", explicit_amplitudes=amps),
+        )
+    else:
+        config = preset_config(name)
+    exported = {p.name: p for p in export_qasm_suite(config, tmp_path)}
+    run = run_experiment(config)
+    records = []
+    for position, (kind, key, ctx) in enumerate(
+        cycle_contexts(resolve_observables(config.observable_set))
+    ):
+        texts = [str(o) for o in ctx.observables]
+        path = exported[f"{context_file_stem(kind, key)}_{'_'.join(texts)}.qasm"]
+        # the printed u3 angles carry 12 digits, so the prepared state is
+        # checked at 1e-10 and the records are compared on that state
+        psi, readout = _run_qasm(path.read_text())
+        overlap = abs(np.vdot(psi.amplitudes, prepare_state(config.state).amplitudes))
+        assert abs(overlap - 1.0) <= 1e-10
+        fine = joint_distribution_fine(psi, ctx)
+        assert list(readout) == list(fine.labels)
+        assert np.abs(np.array(list(readout.values())) - fine.probs).max() <= 1e-12
+        drawn = OutcomeDistribution(fine.labels, np.array(list(readout.values())))
+        record = sample_counts(drawn, 8192, config.seed + position, ctx.label_text())
+        records.append((texts, record))
+    ingested = ingest_counts(records, config.observable_set)
+    for kind, key, ctx in cycle_contexts(resolve_observables(config.observable_set)):
+        if kind == "pair":
+            measured = coarsen(ingested.pair_dists[key], ctx).probs
+            assert np.abs(measured - run.coarse_pairs[key].probs).max() <= 0.03
 
 
 def test_config_json_round_trip(tmp_path):
