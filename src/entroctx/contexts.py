@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .pauli import PauliString, as_pauli, commutes, matrix
-from .statevec import GateOp, QuantumState, apply_circuit, circuit_unitary
+from .statevec import GateOp, QuantumState, circuit_unitary
 
 _SIGNS = (+1, -1)
 
@@ -136,51 +136,63 @@ def joint_distribution_fine(
     Labels are n-bit strings, most significant qubit first: exactly what
     the exported circuit of the context reads out.
     """
-    psi = apply_circuit(state, basis_change_gates(context))
-    probs = np.abs(psi.amplitudes) ** 2
-    n = context.n_qubits
-    labels = tuple(format(b, f"0{n}b") for b in range(2**n))
+    if state.n != context.n_qubits:
+        raise ValueError(f"{context.n_qubits}-qubit context on a {state.n}-qubit state")
+    u, labels, _ = _kernel(context.observables)
+    probs = np.abs(u @ state.amplitudes) ** 2
     return OutcomeDistribution(labels, probs / probs.sum())
 
 
 @lru_cache(maxsize=None)
-def _eigenvalue_table(observables: tuple[PauliString, ...]) -> tuple:
-    """Eigenvalue tuple of every readout record, from diag(U P U^dagger)."""
+def _kernel(observables: tuple[PauliString, ...]) -> tuple:
+    """(U_ctx, n-bit record labels, 0/1 binning matrix) of one observables
+    tuple: fine probabilities are |U_ctx psi|^2 (Aaronson & Gottesman, PRA
+    70, 052328), and row b marks record b's outcome, from diag(U P U^dag)."""
     u = basis_change_unitary(MeasurementContext(observables))
-    columns = []
-    for o in observables:
+    k = len(observables)
+    outcome = 0  # index into coarse_labels: observable j reading -1 sets bit k-1-j
+    for j, o in enumerate(observables):
         conj = u @ matrix(o) @ u.conj().T
         signs = np.sign(np.diag(conj).real)
         if np.abs(conj - np.diag(signs)).max() > 1e-12:
             raise ValueError(f"basis change does not diagonalize {o} to +/-1")
-        columns.append(signs.astype(int).tolist())
-    return tuple(zip(*columns))
+        outcome = outcome + (signs < 0) * 2 ** (k - 1 - j)
+    binning = np.eye(2**k)[outcome]
+    u.setflags(write=False)
+    binning.setflags(write=False)
+    n = observables[0].n
+    return u, tuple(format(b, f"0{n}b") for b in range(2**n)), binning
+
+
+def _record_index(context: MeasurementContext, label: str) -> int:
+    n = context.n_qubits
+    if len(label) != n or set(label) - {"0", "1"}:
+        raise ValueError(f"bad record length or bits: {label!r} for {n} qubits")
+    return int(label, 2)
 
 
 def record_eigenvalues(context: MeasurementContext, label: str) -> tuple[int, ...]:
     """Map one fine record label to the eigenvalue tuple it implies."""
-    n = context.n_qubits
-    if len(label) != n or set(label) - {"0", "1"}:
-        raise ValueError(f"bad record length or bits: {label!r} for {n} qubits")
-    return _eigenvalue_table(context.observables)[int(label, 2)]
+    row = _kernel(context.observables)[2][_record_index(context, label)]
+    return coarse_labels(len(context.observables))[int(row.argmax())]
 
 
 def coarsen(
     fine: OutcomeDistribution, context: MeasurementContext
 ) -> OutcomeDistribution:
-    """Bin a fine record distribution into coarse eigenvalue outcomes."""
-    labels = coarse_labels(len(context.observables))
-    sums = dict.fromkeys(labels, 0.0)
-    for label, p in zip(fine.labels, fine.probs):
-        sums[record_eigenvalues(context, label)] += p
-    return OutcomeDistribution(labels, np.array([sums[c] for c in labels]))
+    """Bin a fine record distribution into coarse eigenvalue outcomes through
+    its records' rows of the binning matrix, which also bins counts that
+    omit zero-count records."""
+    rows = [_record_index(context, label) for label in fine.labels]
+    binned = fine.probs @ _kernel(context.observables)[2][rows]
+    return OutcomeDistribution(coarse_labels(len(context.observables)), binned)
 
 
 def _qasm_gate(gate: GateOp, n: int) -> str:
     # letter index j lives at hardware qubit q[n-1-j] (lsb at q[0])
     regs = [n - 1 - q for q in gate.qubits]
     if gate.kind == "u3":
-        t, p, l = (f"{x:.12g}" for x in gate.params)
+        t, p, l = (repr(float(x)) for x in gate.params)
         return f"u3({t},{p},{l}) q[{regs[0]}];"
     if gate.kind == "cnot":
         return f"cx q[{regs[0]}], q[{regs[1]}];"

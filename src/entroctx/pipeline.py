@@ -391,10 +391,12 @@ def sweep(
 
 
 def sweep_summary(rows) -> dict:
-    """Maximal-M grid points for each convention."""
+    """Maximal-M grid points for each convention. M values within 1e-12 of
+    the maximum tie, and the first tied row in (alpha, beta) order wins."""
     summary = {}
     for convention, col in (("coarse", 2), ("fine", 3)):
-        best = max(rows, key=lambda r: r[col])
+        top = max(r[col] for r in rows)
+        best = min((r for r in rows if r[col] >= top - 1e-12), key=lambda r: r[:2])
         summary[f"max_m_{convention}"] = {
             "alpha": best[0],
             "beta": best[1],

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contexts import OutcomeDistribution
-from .entropy import shannon_entropy
 
 _IDENTITY_FLIP = ((1.0, 0.0), (0.0, 1.0))
 
@@ -90,19 +89,15 @@ def _apply_readout(dist: OutcomeDistribution, flip: np.ndarray) -> OutcomeDistri
     width = len(labels[0])
     if any(len(lb) != width for lb in labels) or len(labels) != 2**width:
         raise ValueError("readout confusion needs the full bit-string record")
-    order = {format(k, f"0{width}b"): k for k in range(2**width)}
+    order = [int(lb, 2) for lb in labels]
     p = np.zeros(2**width)
-    for lb, prob in zip(labels, dist.probs):
-        p[order[lb]] = prob
+    p[order] = dist.probs
     tensor = p.reshape([2] * width)
     for axis in range(width):
         tensor = np.moveaxis(
             np.tensordot(tensor, flip, axes=([axis], [0])), -1, axis
         )
-    flat = tensor.reshape(-1)
-    return OutcomeDistribution(
-        labels, np.array([flat[order[lb]] for lb in labels])
-    )
+    return OutcomeDistribution(labels, tensor.reshape(-1)[order])
 
 
 def apply_noise(dist: OutcomeDistribution, noise: NoiseModel) -> OutcomeDistribution:
@@ -128,12 +123,16 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _entropy_mismatch(
-    dists: list[OutcomeDistribution], targets: list[float], eps: float
-) -> float:
-    total = 0.0
-    for dist, target in zip(dists, targets):
-        noisy = apply_noise(dist, NoiseModel(depolarizing_epsilon=eps))
-        total += (shannon_entropy(noisy) - target) ** 2
+    probs: list[np.ndarray], targets: list[float], eps: np.ndarray
+) -> np.ndarray:
+    """Sum over distributions of (H((1-eps) p + eps/K) - target)^2 for every
+    weight in the array eps at once, with 0 log 0 = 0."""
+    total = np.zeros(eps.shape)
+    for p, target in zip(probs, targets):
+        noisy = (1.0 - eps)[:, None] * p + (eps / p.size)[:, None]
+        noisy /= noisy.sum(axis=1, keepdims=True)
+        logs = np.log2(noisy, out=np.zeros_like(noisy), where=noisy > 0.0)
+        total += (-(noisy * logs).sum(axis=1) - target) ** 2
     return total
 
 
@@ -142,33 +141,34 @@ def fit_depolarizing(
 ) -> DepolarizingFit:
     """Depolarizing weight whose entropies best match the targets.
 
-    Least-squares in entropy space: a 1e-3 grid scan brackets the global
-    minimum (no monotonicity assumed), then golden-section search narrows
-    the bracket to 1e-4. Returns the weight and the residual sum of
-    squares; with underdetermined targets the residual is the honest
-    measure of fit quality.
+    Least-squares in entropy space: a 1e-3 grid scan, evaluated as one
+    array, brackets the global minimum (no monotonicity assumed), then
+    golden-section search narrows the bracket to 1e-4. Returns the weight
+    and the residual sum of squares; with underdetermined targets the
+    residual is the honest measure of fit quality.
     """
     if not dists or len(dists) != len(target_entropies):
         raise ValueError("need matching distributions and target entropies")
+    probs = [dist.probs for dist in dists]
     targets = [float(t) for t in target_entropies]
+
+    def score(eps: float) -> float:
+        return float(_entropy_mismatch(probs, targets, np.array([eps]))[0])
+
     grid = np.linspace(0.0, 1.0, 1001)
-    scores = [_entropy_mismatch(dists, targets, e) for e in grid]
-    center = int(np.argmin(scores))
-    lo = grid[max(center - 1, 0)]
-    hi = grid[min(center + 1, len(grid) - 1)]
-    a, b = lo, hi
+    center = int(np.argmin(_entropy_mismatch(probs, targets, grid)))
+    a, b = grid[max(center - 1, 0)], grid[min(center + 1, len(grid) - 1)]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = _entropy_mismatch(dists, targets, c)
-    fd = _entropy_mismatch(dists, targets, d)
+    fc, fd = score(c), score(d)
     while b - a > 1e-4:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = _entropy_mismatch(dists, targets, c)
+            fc = score(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = _entropy_mismatch(dists, targets, d)
+            fd = score(d)
     best = 0.5 * (a + b)
-    return DepolarizingFit(best, _entropy_mismatch(dists, targets, best))
+    return DepolarizingFit(best, score(best))

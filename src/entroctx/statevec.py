@@ -163,27 +163,12 @@ def apply_circuit(state: QuantumState, gates: list[GateOp]) -> QuantumState:
 
 
 def circuit_unitary(gates: list[GateOp], n: int) -> np.ndarray:
-    """Compose a gate list into its full 2^n x 2^n unitary."""
-    dim = 2**n
-    cols = []
-    for b in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[b] = 1.0
-        psi = e.reshape([2] * n)
-        for g in gates:
-            if g.kind == "cnot":
-                c, t = g.qubits
-                op = gate_matrix(g).reshape(2, 2, 2, 2)
-                psi = np.moveaxis(
-                    np.tensordot(op, psi, axes=([2, 3], [c, t])), [0, 1], [c, t]
-                )
-            else:
-                (q,) = g.qubits
-                psi = np.moveaxis(
-                    np.tensordot(gate_matrix(g), psi, axes=([1], [q])), 0, q
-                )
-        cols.append(psi.reshape(-1))
-    return np.stack(cols, axis=1)
+    """Compose a gate list into its full 2^n x 2^n unitary: column b is the
+    circuit applied, gate by gate, to basis state b."""
+    basis = np.eye(2**n, dtype=complex)
+    return np.stack(
+        [apply_circuit(QuantumState(e), gates).amplitudes for e in basis], axis=1
+    )
 
 
 def projection_probability(state: QuantumState, projector: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from entroctx.contexts import (
     joint_distribution_fine,
     record_eigenvalues,
 )
+from entroctx.entropy import entropies_from_counts
 from entroctx.pauli import (
     OBSERVABLE_SETS,
     PauliString,
@@ -27,6 +28,7 @@ from entroctx.statevec import (
     PRESET_S1,
     PRESET_S2,
     QuantumState,
+    apply_circuit,
     prepare_state,
     synthesize_prep_circuit,
 )
@@ -187,6 +189,13 @@ def test_fine_single_xx_on_s1():
     )
 
 
+def test_fine_rejects_a_state_of_another_qubit_count():
+    for n in (1, 3):
+        state = QuantumState(np.eye(2**n)[0].astype(complex))
+        with pytest.raises(ValueError, match=f"2-qubit context on a {n}-qubit state"):
+            joint_distribution_fine(state, MeasurementContext((PauliString("XX"),)))
+
+
 def test_fine_uniform_state_two_bits():
     uniform = QuantumState(np.full(4, 0.5))
     dist = joint_distribution_fine(uniform, MeasurementContext((PauliString("ZZ"),)))
@@ -271,6 +280,55 @@ def test_coarsen_uniform_records_under_zz():
     assert coarse[(-1,)] == pytest.approx(0.5)
 
 
+def gate_by_gate(state: QuantumState, ctx: MeasurementContext) -> np.ndarray:
+    """Reference record distribution: the basis-change gates applied one by one."""
+    return np.abs(apply_circuit(state, basis_change_gates(ctx)).amplitudes) ** 2
+
+
+def test_kernel_matches_gate_by_gate_application():
+    rng = np.random.default_rng(23)
+    states = [prepare_state(PRESET_S1), prepare_state(PRESET_S2)]
+    states += [random_state(rng, 2) for _ in range(4)]
+    for name in ("table1", "table2"):
+        for ctx in all_preset_contexts(name):
+            for state in states:
+                fine = joint_distribution_fine(state, ctx)
+                assert fine.labels == ("00", "01", "10", "11")
+                assert np.abs(fine.probs - gate_by_gate(state, ctx)).max() <= 1e-15
+    letters = ["".join(t) for t in itertools.product("IXYZ", repeat=3)][1:]
+    checked = 0
+    while checked < 40:
+        a, b = rng.choice(letters, size=2)
+        if a == b or not commutes(a, b):
+            continue
+        ctx = MeasurementContext((PauliString(a), PauliString(b)))
+        state = random_state(rng, 3)
+        fine = joint_distribution_fine(state, ctx)
+        assert np.abs(fine.probs - gate_by_gate(state, ctx)).max() <= 1e-15
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "texts, counts",
+    [
+        (("ZZ", "YX"), {"11": 7, "01": 2}),
+        (("XX",), {"10": 5}),
+        (("XXI", "YYZ"), {"000": 4, "101": 1, "110": 0, "011": 9}),
+    ],
+)
+def test_coarsen_counts_with_omitted_records(texts, counts):
+    # counts files may list only the records that occurred; binning them
+    # equals adding each listed record's probability to its outcome
+    ctx = MeasurementContext(tuple(PauliString(t) for t in texts))
+    measured = entropies_from_counts(counts)
+    expected = dict.fromkeys(coarse_labels(len(texts)), 0.0)
+    for label, p in measured.as_dict().items():
+        expected[record_eigenvalues(ctx, label)] += p
+    binned = coarsen(measured, ctx)
+    assert binned.labels == coarse_labels(len(texts))
+    assert np.abs(binned.probs - list(expected.values())).max() <= 1e-15
+
+
 def test_record_eigenvalues_length_check():
     ctx = MeasurementContext((PauliString("ZZ"),))
     with pytest.raises(ValueError, match="record length"):
@@ -351,12 +409,12 @@ def test_preset_pair_records_read_observables_in_order():
 
 def test_eigenvalue_map_rejects_a_non_diagonalizing_circuit(monkeypatch):
     monkeypatch.setattr(contexts, "basis_change_gates", lambda ctx: [])
-    contexts._eigenvalue_table.cache_clear()
+    contexts._kernel.cache_clear()
     try:
         with pytest.raises(ValueError, match="does not diagonalize XX"):
             record_eigenvalues(MeasurementContext((PauliString("XX"),)), "00")
     finally:
-        contexts._eigenvalue_table.cache_clear()
+        contexts._kernel.cache_clear()
 
 
 def test_coarse_labels_order():

@@ -24,6 +24,7 @@ from entroctx.pipeline import (
     resolve_observables,
     run_experiment,
     sweep,
+    sweep_summary,
     write_sampled_counts,
 )
 from entroctx.reports import read_counts, read_report, report_to_dict
@@ -246,6 +247,24 @@ def test_sweep_periodicity_on_diagonal():
     assert first[3] == pytest.approx(last[3], abs=1e-10)
 
 
+def test_sweep_summary_breaks_near_ties_by_grid_order():
+    # M values 1e-16 apart tie; the first row in (alpha, beta) order is
+    # reported whatever the row order and whichever M is larger
+    m = 1e-3
+    rows = [
+        (0.5, 0.1, m - 1e-9, m - 1e-9, True),
+        (0.2, 0.9, m + 1e-16, m, True),
+        (0.2, 0.3, m, m + 1e-16, True),
+    ]
+    summary = sweep_summary(rows)
+    for convention in ("coarse", "fine"):
+        best = summary[f"max_m_{convention}"]
+        assert (best["alpha"], best["beta"]) == (0.2, 0.3)
+    assert summary["max_m_fine"]["m"] == m + 1e-16
+    rows.append((0.6, 0.0, m + 1e-9, m + 1e-9, True))
+    assert sweep_summary(rows)["max_m_coarse"]["alpha"] == 0.6
+
+
 def test_sweep_rejects_degenerate_points():
     # alpha = pi/2, beta = 0 is the null vector for family s1
     point = r"\(alpha, beta\) = \(1.5707963267948966, 0.0\)"
@@ -326,12 +345,12 @@ def test_exported_circuit_readout_matches_fine_records(tmp_path, name):
     ):
         texts = [str(o) for o in ctx.observables]
         path = exported[f"{context_file_stem(kind, key)}_{'_'.join(texts)}.qasm"]
-        # the printed u3 angles carry 12 digits, so the prepared state is
-        # checked at 1e-10 and the records are compared on that state
+        # the u3 angles are printed at round-trip precision, so the circuit
+        # prepares the simulated state and reads out its records to rounding
         psi, readout = _run_qasm(path.read_text())
-        overlap = abs(np.vdot(psi.amplitudes, prepare_state(config.state).amplitudes))
-        assert abs(overlap - 1.0) <= 1e-10
-        fine = joint_distribution_fine(psi, ctx)
+        exact = prepare_state(config.state)
+        assert abs(abs(np.vdot(psi.amplitudes, exact.amplitudes)) - 1.0) <= 1e-12
+        fine = joint_distribution_fine(exact, ctx)
         assert list(readout) == list(fine.labels)
         assert np.abs(np.array(list(readout.values())) - fine.probs).max() <= 1e-12
         drawn = OutcomeDistribution(fine.labels, np.array(list(readout.values())))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from entroctx.contexts import OutcomeDistribution
+from entroctx.contexts import (
+    OutcomeDistribution,
+    joint_distribution_coarse,
+    joint_distribution_fine,
+)
 from entroctx.entropy import entropies_from_counts, shannon_entropy
 from entroctx.pipeline import cycle_contexts, resolve_observables
 from entroctx.refdata import REFERENCE_RUNS
@@ -12,7 +16,7 @@ from entroctx.sampling import (
     fit_depolarizing,
     sample_counts,
 )
-from entroctx.statevec import prepare_state
+from entroctx.statevec import PRESET_S1, PRESET_S2, StatePrepSpec, prepare_state
 
 RNG = np.random.default_rng(20260825)
 
@@ -164,6 +168,92 @@ def test_reference_fit_regression():
     fit_s2 = _reference_fit("s2")
     assert fit_s2.epsilon == pytest.approx(0.058618, abs=2e-4)
     assert fit_s2.residual == pytest.approx(4.579364, abs=1e-3)
+
+
+def _loop_fit(dists, targets):
+    """The per-weight loop the vectorized fit replaced, kept as its reference:
+    one noisy distribution and one entropy per weight and distribution."""
+
+    def mismatch(eps):
+        noise = NoiseModel(depolarizing_epsilon=eps)
+        return sum(
+            (shannon_entropy(apply_noise(d, noise)) - t) ** 2
+            for d, t in zip(dists, targets)
+        )
+
+    grid = np.linspace(0.0, 1.0, 1001)
+    center = int(np.argmin([mismatch(e) for e in grid]))
+    a, b = grid[max(center - 1, 0)], grid[min(center + 1, len(grid) - 1)]
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = mismatch(c), mismatch(d)
+    while b - a > 1e-4:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = mismatch(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = mismatch(d)
+    best = 0.5 * (a + b)
+    return best, mismatch(best)
+
+
+def _exact_dists(observable_set, spec, convention):
+    joint = {"coarse": joint_distribution_coarse, "fine": joint_distribution_fine}
+    state = prepare_state(spec)
+    return [
+        joint[convention](state, ctx)
+        for _, _, ctx in cycle_contexts(resolve_observables(observable_set), convention)
+    ]
+
+
+CYCLE3 = (
+    ("XXI", "YYZ", "ZZI"),
+    StatePrepSpec("explicit", explicit_amplitudes=(0.5, 0.5, 0.5j, 0, 0.5, 0, 0, 0)),
+)
+
+
+def _assert_fit_matches_loop(dists, targets):
+    fit = fit_depolarizing(dists, targets)
+    eps, residual = _loop_fit(dists, targets)
+    assert abs(fit.epsilon - eps) <= 1e-12
+    assert abs(fit.residual - residual) <= 1e-12
+    return fit
+
+
+@pytest.mark.parametrize(
+    "observable_set, spec, convention",
+    [
+        ("table1", PRESET_S1, "coarse"),
+        ("table1", PRESET_S1, "fine"),
+        ("table2", PRESET_S2, "coarse"),
+        ("table2", PRESET_S2, "fine"),
+        (*CYCLE3, "fine"),
+    ],
+)
+def test_vectorized_fit_matches_the_per_weight_loop(observable_set, spec, convention):
+    dists = _exact_dists(observable_set, spec, convention)
+    rng = np.random.default_rng(sum(map(ord, str(observable_set) + convention)))
+    for eps in rng.uniform(0.0, 0.5, 2):
+        noise = NoiseModel(depolarizing_epsilon=eps)
+        targets = [
+            shannon_entropy(apply_noise(d, noise)) + rng.normal(0.0, 0.02)
+            for d in dists
+        ]
+        _assert_fit_matches_loop(dists, targets)
+
+
+@pytest.mark.parametrize("observable_set, spec", [("table1", PRESET_S1), CYCLE3])
+def test_vectorized_fit_matches_the_loop_at_zero_and_full_noise(observable_set, spec):
+    # exact targets pull the fit to eps = 0, maximal entropies to eps = 1,
+    # where zero probabilities meet 0 log 0 and the bracket sits on the edge
+    dists = _exact_dists(observable_set, spec, "coarse")
+    exact = [shannon_entropy(d) for d in dists]
+    assert _assert_fit_matches_loop(dists, exact).epsilon < 1e-4
+    maximal = [np.log2(len(d.labels)) for d in dists]
+    assert _assert_fit_matches_loop(dists, maximal).epsilon > 1.0 - 1e-4
 
 
 def test_sampled_entropy_tracks_exact():
