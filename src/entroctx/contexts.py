@@ -138,9 +138,15 @@ def joint_distribution_fine(
     """
     if state.n != context.n_qubits:
         raise ValueError(f"{context.n_qubits}-qubit context on a {state.n}-qubit state")
-    u, labels, _ = _kernel(context.observables)
-    probs = np.abs(u @ state.amplitudes) ** 2
-    return OutcomeDistribution(labels, probs / probs.sum())
+    probs = record_probabilities(state.amplitudes[None, :], context)
+    return OutcomeDistribution(_kernel(context.observables)[1], probs[0])
+
+
+def record_probabilities(amps: np.ndarray, context: MeasurementContext) -> np.ndarray:
+    """Record probabilities |A U_ctx^T|^2 of a (batch, 2^n) amplitude array A,
+    each row normalized: joint_distribution_fine is its one-row case."""
+    probs = np.abs(amps @ _kernel(context.observables)[0].T) ** 2
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +170,11 @@ def _kernel(observables: tuple[PauliString, ...]) -> tuple:
     return u, tuple(format(b, f"0{n}b") for b in range(2**n)), binning
 
 
+def binning_matrix(context: MeasurementContext) -> np.ndarray:
+    """Read-only (2^n, 2^k) 0/1 matrix: row b marks record b's coarse outcome."""
+    return _kernel(context.observables)[2]
+
+
 def _record_index(context: MeasurementContext, label: str) -> int:
     n = context.n_qubits
     if len(label) != n or set(label) - {"0", "1"}:
@@ -173,7 +184,7 @@ def _record_index(context: MeasurementContext, label: str) -> int:
 
 def record_eigenvalues(context: MeasurementContext, label: str) -> tuple[int, ...]:
     """Map one fine record label to the eigenvalue tuple it implies."""
-    row = _kernel(context.observables)[2][_record_index(context, label)]
+    row = binning_matrix(context)[_record_index(context, label)]
     return coarse_labels(len(context.observables))[int(row.argmax())]
 
 
@@ -184,7 +195,7 @@ def coarsen(
     its records' rows of the binning matrix, which also bins counts that
     omit zero-count records."""
     rows = [_record_index(context, label) for label in fine.labels]
-    binned = fine.probs @ _kernel(context.observables)[2][rows]
+    binned = fine.probs @ binning_matrix(context)[rows]
     return OutcomeDistribution(coarse_labels(len(context.observables)), binned)
 
 

@@ -34,11 +34,16 @@ def _prob_vector(dist) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p (0 log 0 := 0) per row of a C-ordered (..., K) array, one
+    dot product a row: a row's entropy does not depend on the batch around it."""
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p[..., None, :] @ logs[..., :, None])[..., 0, 0]
+
+
 def shannon_entropy(dist) -> float:
-    """H = -sum p log2 p with 0 log 0 := 0; accepts a distribution or vector."""
-    p = _prob_vector(dist)
-    p = p[p > 0.0]
-    return float(-(p @ np.log2(p)))
+    """entropy_rows of one distribution or probability vector."""
+    return float(entropy_rows(_prob_vector(dist)))
 
 
 def marginal(joint: OutcomeDistribution, slot: int) -> OutcomeDistribution:
@@ -95,14 +100,15 @@ def _rekey(table: Mapping, normalize) -> dict:
 def _lookup(index: dict, key, kind: str) -> float:
     if key not in index:
         raise ValueError(f"missing entropy entry for {kind}")
-    value = float(index[key])
-    if not math.isfinite(value):
+    value = np.asarray(index[key], dtype=float)
+    if not np.isfinite(value).all():
         raise ValueError(f"non-finite entropy for {kind}")
-    return value
+    return float(value) if value.ndim == 0 else value
 
 
 def evaluate_m_cycle(h_pairs: Mapping, h_singles: Mapping, n: int) -> float:
-    """Signed entropy combination M_n; keys (i, j) / "i-j" and i / "i"."""
+    """Signed entropy combination M_n; keys (i, j) / "i-j" and i / "i".
+    Entries may be (batch,) arrays, giving M per row."""
     if n < 3:
         raise ValueError("cycle needs at least 3 observables")
     pair_index = _rekey(h_pairs, _pair_key)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .contexts import OutcomeDistribution, coarse_labels
 from .entropy import _pair_key, cycle_pair_keys, cycle_single_keys
-from .entropy import evaluate_m_cycle, marginal, shannon_entropy
+from .entropy import entropy_rows, evaluate_m_cycle, marginal, shannon_entropy
 
 # The LP tableau is (4n + 1) x (2^n + 8n + 3): one solve takes 2-5 s at n = 13
 # and about 12 s at n = 14 on a 2-vCPU x86 machine.
@@ -136,29 +136,16 @@ def m_of_model(model: NCModel, n: int | None = None) -> float:
     return evaluate_m_cycle(h_pairs, h_singles, n)
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=1)
-
-
 def m_of_models_batch(weights: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized m_of_model over a (batch, 2^n) weight matrix.
-
-    Used by large property runs; agrees with the scalar path row by row.
-    """
+    """Vectorized m_of_model over a (batch, 2^n) weight matrix, for large
+    property runs; agrees with the scalar path row by row."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != 2**n:
         raise ValueError("weights must be (batch, 2^n)")
-    values = value_matrix(n)
-    pair_rows = _pair_constraints(n)
-    result = np.zeros(w.shape[0])
-    for rank in range(n):
-        h = _entropy_rows(w @ pair_rows[4 * rank : 4 * rank + 4].T)
-        result += h if rank == n - 1 else -h
-    for i in cycle_single_keys(n):
-        indic = np.array([values[:, i - 1] == a for a in (+1, -1)], dtype=float)
-        result += _entropy_rows(w @ indic.T)
-    return result
+    pairs = (w @ _pair_constraints(n)[:-1].T).reshape(len(w), n, 2, 2)
+    h_pairs = dict(zip(cycle_pair_keys(n), entropy_rows(pairs.reshape(len(w), n, 4)).T))
+    firsts = entropy_rows(pairs.sum(axis=3)).T[1:]  # X_2, X_3, ... off pairs (i, i+1)
+    return evaluate_m_cycle(h_pairs, dict(zip(cycle_single_keys(n), firsts)), n)
 
 
 @dataclass(frozen=True)

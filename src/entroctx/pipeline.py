@@ -19,17 +19,21 @@ import numpy as np
 from .contexts import (
     MeasurementContext,
     OutcomeDistribution,
+    binning_matrix,
     coarse_labels,
     coarsen,
     export_measurement_circuit,
     joint_distribution_coarse,
     joint_distribution_fine,
+    record_probabilities,
 )
 from .entropy import (
     EntropyReport,
     cycle_pair_keys,
     cycle_single_keys,
     entropies_from_counts,
+    entropy_rows,
+    evaluate_m_cycle,
     shannon_entropy,
 )
 from .ncmodels import FeasibilityResult, lp_feasibility
@@ -42,6 +46,7 @@ from .statevec import (
     PRESET_S2,
     QuantumState,
     StatePrepSpec,
+    family_amplitudes,
     prepare_state,
     synthesize_prep_circuit,
 )
@@ -297,14 +302,9 @@ def reproduce_reference() -> dict:
                 f"{recomputed:.11f} but the source table prints "
                 f"{run.reported_m}; both values reported, neither adjusted"
             )
-        ideal = {}
-        for convention in ("coarse", "fine"):
-            config = ExperimentConfig(
-                observable_set=run.observable_set,
-                state=run.state,
-                convention=convention,
-            )
-            ideal[convention] = run_experiment(config).report.m_value
+        state = prepare_state(run.state)
+        observables = resolve_observables(run.observable_set)
+        ideal = {conv: exact_m(state, observables, conv) for conv in ("coarse", "fine")}
         entry = {
             "recomputed_m": recomputed,
             "reported_m": run.reported_m,
@@ -361,29 +361,33 @@ def sweep(
     observable_set: str | tuple[str, ...] = "table1",
     out: str | None = None,
 ) -> list[tuple]:
-    """Exact M over a state-parameter grid; rows (alpha, beta, M_coarse,
-    M_fine, lp_feasible) sorted by (alpha, beta)."""
+    """Exact M over a state-parameter grid, from one batched kernel pass per
+    context whose records, binned, also feed one LP per point; rows (alpha, beta,
+    M_coarse, M_fine, lp_feasible) sorted by (alpha, beta)."""
     observables = resolve_observables(observable_set)
     n = len(observables)
+    a, b = np.asarray(alphas, float), np.asarray(betas, float)
+    alpha, beta = np.repeat(a, b.size), np.tile(b, a.size)
+    amplitudes = family_amplitudes(family, alpha, beta)
+    fine = [
+        (kind, key, ctx, record_probabilities(amplitudes, ctx))
+        for kind, key, ctx in cycle_contexts(observables)
+    ]
+    coarse = [(kind, key, ctx, p @ binning_matrix(ctx)) for kind, key, ctx, p in fine]
+    m_coarse, m_fine = (
+        evaluate_m_cycle(
+            {key: entropy_rows(p) for key, p in _dists(entries, "pair").items()},
+            {i: entropy_rows(p) for i, p in _dists(entries, "single").items()},
+            n,
+        ).tolist()
+        for entries in (coarse, fine)
+    )
+    pairs, labels = _dists(coarse, "pair"), coarse_labels(2)
     rows = []
-    for alpha in alphas:
-        for beta in betas:
-            try:
-                state = prepare_state(
-                    StatePrepSpec(
-                        family=family, alpha=float(alpha), beta=float(beta)
-                    )
-                )
-            except ValueError as exc:
-                point = f"(alpha, beta) = ({alpha}, {beta})"
-                raise ValueError(f"{exc} at {point}") from None
-            # one fine pass; its records binned feed the coarse witness and the LP
-            fine = _exact_entries(state, observables, "fine")
-            coarse = [(kind, key, ctx, coarsen(d, ctx)) for kind, key, ctx, d in fine]
-            m_coarse = _report(coarse, "coarse", n).m_value
-            m_fine = _report(fine, "fine", n).m_value
-            lp = lp_feasibility(_dists(coarse, "pair"), n, lp_tolerance_for(n, EXACT))
-            rows.append((float(alpha), float(beta), m_coarse, m_fine, lp.feasible))
+    for k, point in enumerate(zip(alpha.tolist(), beta.tolist(), m_coarse, m_fine)):
+        dists = {key: OutcomeDistribution(labels, p[k]) for key, p in pairs.items()}
+        lp = lp_feasibility(dists, n, lp_tolerance_for(n, EXACT))
+        rows.append((*point, lp.feasible))
     rows.sort(key=lambda r: (r[0], r[1]))
     if out:
         write_sweep_csv(out, rows)

@@ -27,7 +27,7 @@ class QuantumState:
         if amps.ndim != 1 or size == 0 or size & (size - 1):
             raise ValueError("amplitude vector length must be a power of two")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # nan and inf norms fail it too
             raise ValueError(f"state not normalized: |psi| = {norm}")
 
     @property
@@ -112,29 +112,35 @@ def gate_matrix(gate: GateOp) -> np.ndarray:
     return _CNOT
 
 
-def prepare_state(spec: StatePrepSpec) -> QuantumState:
-    """Build the normalized state for a StatePrepSpec.
+def family_amplitudes(family: str, alpha, beta) -> np.ndarray:
+    """(x, x, y, y) / sqrt(2x^2 + 2y^2) over alpha and beta broadcast, with x, y =
+    cos alpha, sin beta (s1) or sin alpha, cos beta (s2). Raises at the first
+    point in C order whose parameters are not finite or give the null vector."""
+    if family not in ("s1", "s2"):
+        raise ValueError(f"state family {family!r} has no (alpha, beta) form")
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
+    finite = np.isfinite(alpha) & np.isfinite(beta)
+    a, b = np.where(finite, (alpha, beta), 0.0)
+    x, y = (np.cos(a), np.sin(b)) if family == "s1" else (np.sin(a), np.cos(b))
+    norm = np.sqrt(2.0 * (x * x + y * y))
+    bad = ~finite | (norm < 1e-12)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        problem = "give the null vector" if finite.flat[k] else "are not finite"
+        point = f"(alpha, beta) = ({alpha.flat[k]}, {beta.flat[k]})"
+        raise ValueError(f"family {family} parameters {problem} at {point}")
+    # times the reciprocal, which is how dividing a complex vector by its norm rounds
+    return np.stack([x, x, y, y], axis=-1) * (1.0 / norm)[..., None]
 
-    Raises when the family parameters give the null vector (for s1 this
-    happens when cos(alpha) = sin(beta) = 0).
-    """
-    if spec.family == "s1":
-        raw = np.array(
-            [np.cos(spec.alpha), np.cos(spec.alpha),
-             np.sin(spec.beta), np.sin(spec.beta)],
-            dtype=complex,
-        )
-    elif spec.family == "s2":
-        raw = np.array(
-            [np.sin(spec.alpha), np.sin(spec.alpha),
-             np.cos(spec.beta), np.cos(spec.beta)],
-            dtype=complex,
-        )
-    else:
-        raw = np.asarray(spec.explicit_amplitudes, dtype=complex)
+
+def prepare_state(spec: StatePrepSpec) -> QuantumState:
+    """Build the normalized state for a StatePrepSpec (see family_amplitudes)."""
+    if spec.family != "explicit":
+        return QuantumState(family_amplitudes(spec.family, spec.alpha, spec.beta))
+    raw = np.asarray(spec.explicit_amplitudes, dtype=complex)
     norm = np.linalg.norm(raw)
-    if norm < 1e-12:
-        raise ValueError(f"family {spec.family} parameters give the null vector")
+    if not 1e-12 <= norm < np.inf:
+        raise ValueError(f"family explicit amplitudes {raw} are null or not finite")
     return QuantumState(raw / norm)
 
 

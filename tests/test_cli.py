@@ -271,6 +271,22 @@ def test_sweep_degenerate_point_exits_with_error(capsys):
     assert "at (alpha, beta) = (1.5707963267948966, 0.0)" in captured.err
 
 
+def test_non_finite_state_parameters_exit_with_error(tmp_path, capsys):
+    config_file = tmp_path / "nan.json"
+    config_file.write_text('{"state": {"family": "s1", "alpha": NaN}}')
+    for argv in (
+        ("simulate", "--config", str(config_file)),
+        ("sweep", "--alpha-start", "nan"),
+    ):
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: family s1 parameters are not finite at (alpha, beta) = (nan, 0.0)"
+        )
+
+
 def test_malformed_entropy_files_exit_with_error(tmp_path, capsys):
     report_file = tmp_path / "report.json"
     run_cli("simulate", "--preset", "s2", "--out", str(report_file))

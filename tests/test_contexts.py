@@ -15,6 +15,7 @@ from entroctx.contexts import (
     joint_distribution_coarse,
     joint_distribution_fine,
     record_eigenvalues,
+    record_probabilities,
 )
 from entroctx.entropy import entropies_from_counts
 from entroctx.pauli import (
@@ -306,6 +307,23 @@ def test_kernel_matches_gate_by_gate_application():
         fine = joint_distribution_fine(state, ctx)
         assert np.abs(fine.probs - gate_by_gate(state, ctx)).max() <= 1e-15
         checked += 1
+
+
+def test_batched_kernel_matches_one_state_at_a_time():
+    # one row is joint_distribution_fine's own call, so it agrees bit for bit;
+    # a batch's matmul may round differently, by at most about an ulp
+    rng = np.random.default_rng(29)
+    states = [random_state(rng, 2) for _ in range(50)]
+    amplitudes = np.array([state.amplitudes for state in states])
+    for name in ("table1", "table2"):
+        for ctx in all_preset_contexts(name):
+            batch = record_probabilities(amplitudes, ctx)
+            assert batch.shape == (50, 4)
+            for state, row in zip(states, batch):
+                fine = joint_distribution_fine(state, ctx).probs
+                one = record_probabilities(state.amplitudes[None, :], ctx)
+                assert np.array_equal(one[0], fine)
+                assert np.abs(row - fine).max() <= 1e-15
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from entroctx import pipeline
 from entroctx.contexts import OutcomeDistribution, coarsen, joint_distribution_fine
 from entroctx.pipeline import (
     EXACT,
@@ -27,6 +28,7 @@ from entroctx.pipeline import (
     sweep_summary,
     write_sampled_counts,
 )
+from entroctx.refdata import REFERENCE_RUNS
 from entroctx.reports import read_counts, read_report, report_to_dict
 from entroctx.sampling import NoiseModel, sample_counts
 from entroctx.statevec import (
@@ -210,6 +212,26 @@ def test_reconciliation_structure():
     assert "0.31593045534" in text
 
 
+def test_reproduce_reference_solves_no_lp(monkeypatch):
+    # the ideal M values come from the exact analysis stage alone, bit for
+    # bit what a full run reports
+    expected = {
+        (name, conv): run_experiment(
+            ExperimentConfig(run.observable_set, run.state, conv)
+        ).report.m_value
+        for name, run in REFERENCE_RUNS.items()
+        for conv in ("coarse", "fine")
+    }
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("reproduce_reference solved an LP")
+
+    monkeypatch.setattr(pipeline, "lp_feasibility", no_lp)
+    result = reproduce_reference()
+    for (name, conv), m in expected.items():
+        assert result["runs"][name]["ideal_m"][conv] == m
+
+
 def test_sweep_single_point_matches_run(tmp_path):
     rows = sweep("s1", [2.9306], [2.9306], "table1", out=str(tmp_path / "s.csv"))
     assert len(rows) == 1
@@ -271,6 +293,51 @@ def test_sweep_rejects_degenerate_points():
     with pytest.raises(ValueError, match=f"family s1 .*null vector at {point}"):
         sweep("s1", [0.0, np.pi / 2], [0.0], "table1")
     assert len(sweep("s1", [0.0, np.pi / 3], [0.0], "table1")) == 2
+
+
+def test_non_finite_state_parameters_are_rejected():
+    # nan fails every comparison, so such states once passed the norm checks
+    # and surfaced as an unbounded LP
+    nan_alpha = config_from_dict({"state": {"family": "s1", "alpha": float("nan")}})
+    message = r"family s1 parameters are not finite at \(alpha, beta\) = \(nan, 0.0\)"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(nan_alpha)
+    # the first offending point in (alpha, beta) order is named
+    message = r"family s2 parameters are not finite at \(alpha, beta\) = \(0.3, inf\)"
+    with pytest.raises(ValueError, match=message):
+        sweep("s2", [0.3, np.nan], [0.1, np.inf], "table2")
+    amps = (np.nan, 0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="family explicit amplitudes .* not finite"):
+        prepare_state(StatePrepSpec(family="explicit", explicit_amplitudes=amps))
+    with pytest.raises(ValueError, match="not normalized"):
+        QuantumState(np.array([np.nan, 1.0]))
+
+
+def test_sweep_of_a_violating_cycle_matches_facets_and_runs():
+    # (ZY, IY, XY, YZ) reaches 2 sqrt(2) > n - 2 on some states, so this grid
+    # holds both verdicts. Exact data satisfy no disturbance, where the LP
+    # verdict is the closed-form n-cycle facets' (Araujo et al., PRA 88,
+    # 022118 (2013)): max over odd sign vectors of sum_i gamma_i E_i <= n - 2.
+    cycle = ("ZY", "IY", "XY", "YZ")
+    grid = np.linspace(-np.pi, np.pi, 9) + 0.01
+    rows = sweep("s1", grid, grid, cycle)
+    assert len(rows) == 81
+    assert {row[4] for row in rows} == {True, False}
+    for alpha, beta, m_coarse, m_fine, feasible in rows:
+        state = StatePrepSpec("s1", alpha, beta)
+        runs = {
+            conv: run_experiment(ExperimentConfig(cycle, state, conv))
+            for conv in ("coarse", "fine")
+        }
+        assert m_coarse == pytest.approx(runs["coarse"].report.m_value, abs=1e-12)
+        assert m_fine == pytest.approx(runs["fine"].report.m_value, abs=1e-12)
+        pairs = runs["coarse"].coarse_pairs.values()
+        corr = np.array([d.probs @ [1.0, -1.0, -1.0, 1.0] for d in pairs])
+        facet = np.abs(corr).sum()
+        if (corr < 0).sum() % 2 == 0:
+            facet -= 2 * np.abs(corr).min()
+        # 20 of the 81 points lie on a facet, up to 1e-13 of rounding
+        assert feasible == (facet <= len(cycle) - 2 + 1e-9), (alpha, beta, facet)
 
 
 def test_export_suite_counts(tmp_path):
