@@ -42,7 +42,6 @@ from .pauli import (
     OBSERVABLE_SETS,
     TABLE1_OBSERVABLES,
     TABLE2_OBSERVABLES,
-    CycleReport,
     PauliString,
     as_pauli,
     commutes,
@@ -75,7 +74,7 @@ from .pipeline import (
     sweep_summary,
     write_sampled_counts,
 )
-from .refdata import REFERENCE_RUNS, REFERENCE_SHOTS, ReferenceRun
+from .refdata import REFERENCE_RUNS
 from .reports import (
     read_counts,
     read_entropies_file,

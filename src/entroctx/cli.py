@@ -136,9 +136,7 @@ def _cmd_sample(args) -> int:
     config = _effective_config(args)
     if config.shots == EXACT:
         config = replace(config, shots=8192)
-    out_dir = args.out or "counts"
-    config = replace(config, outputs=None)
-    paths = write_sampled_counts(config, out_dir)
+    paths = write_sampled_counts(config, args.out or "counts")
     for path in paths:
         print(path)
     return 0

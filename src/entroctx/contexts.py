@@ -136,8 +136,6 @@ def joint_distribution_fine(
     Labels are n-bit strings, most significant qubit first: exactly what
     the exported circuit of the context reads out.
     """
-    if state.n != context.n_qubits:
-        raise ValueError(f"{context.n_qubits}-qubit context on a {state.n}-qubit state")
     probs = record_probabilities(state.amplitudes[None, :], context)
     return OutcomeDistribution(_kernel(context.observables)[1], probs[0])
 
@@ -145,6 +143,9 @@ def joint_distribution_fine(
 def record_probabilities(amps: np.ndarray, context: MeasurementContext) -> np.ndarray:
     """Record probabilities |A U_ctx^T|^2 of a (batch, 2^n) amplitude array A,
     each row normalized: joint_distribution_fine is its one-row case."""
+    n = amps.shape[-1].bit_length() - 1
+    if n != context.n_qubits:
+        raise ValueError(f"{context.n_qubits}-qubit context on a {n}-qubit state")
     probs = np.abs(amps @ _kernel(context.observables)[0].T) ** 2
     return probs / probs.sum(axis=1, keepdims=True)
 

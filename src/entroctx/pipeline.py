@@ -130,15 +130,6 @@ def cycle_contexts(
     return entries
 
 
-def _exact_entries(state: QuantumState, observables, convention: str):
-    """Exact (kind, key, ctx, dist) in cycle_contexts order."""
-    joint = {"coarse": joint_distribution_coarse, "fine": joint_distribution_fine}
-    return [
-        (kind, key, ctx, joint[convention](state, ctx))
-        for kind, key, ctx in cycle_contexts(observables, convention)
-    ]
-
-
 def _dists(entries, kind: str) -> dict:
     return {key: dist for k, key, _, dist in entries if k == kind}
 
@@ -184,6 +175,26 @@ class RunResult:
     report_payload: dict | None
 
 
+def _noisy_entries(config: ExperimentConfig, observables):
+    """Exact (kind, key, ctx, dist) in cycle_contexts order with the config's
+    noise applied, and for sampled runs each context's counts, drawn with
+    seed + its position in that order."""
+    state = prepare_state(config.state)
+    joint = {"coarse": joint_distribution_coarse, "fine": joint_distribution_fine}
+    entries = []
+    for kind, key, ctx in cycle_contexts(observables, config.convention):
+        dist = joint[config.convention](state, ctx)
+        if config.noise is not None and not config.noise.is_trivial:
+            dist = apply_noise(dist, config.noise)
+        entries.append((kind, key, ctx, dist))
+    counts: dict[object, CountsRecord] = {}
+    if config.shots != EXACT:
+        for position, (_, key, ctx, dist) in enumerate(entries):
+            seed = config.seed + position
+            counts[key] = sample_counts(dist, int(config.shots), seed, ctx.label_text())
+    return entries, counts
+
+
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Full pipeline for one configuration.
 
@@ -193,19 +204,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """
     observables = resolve_observables(config.observable_set)
     n = len(observables)
-    state = prepare_state(config.state)
-    entries = _exact_entries(state, observables, config.convention)
-    counts: dict[object, CountsRecord] = {}
-    for position, (kind, key, ctx, dist) in enumerate(entries):
-        if config.noise is not None and not config.noise.is_trivial:
-            dist = apply_noise(dist, config.noise)
-        if config.shots != EXACT:
-            record = sample_counts(
-                dist, int(config.shots), config.seed + position, ctx.label_text()
-            )
-            counts[key] = record
-            dist = entropies_from_counts(record)
-        entries[position] = (kind, key, ctx, dist)
+    entries, counts = _noisy_entries(config, observables)
+    if config.shots != EXACT:
+        entries = [
+            (kind, key, ctx, entropies_from_counts(counts[key]))
+            for kind, key, ctx, _ in entries
+        ]
 
     report = _report(entries, config.convention, n)
     coarse_pairs = _coarse_pairs(entries)
@@ -302,9 +306,9 @@ def reproduce_reference() -> dict:
                 f"{recomputed:.11f} but the source table prints "
                 f"{run.reported_m}; both values reported, neither adjusted"
             )
-        state = prepare_state(run.state)
-        observables = resolve_observables(run.observable_set)
-        ideal = {conv: exact_m(state, observables, conv) for conv in ("coarse", "fine")}
+        amplitudes = prepare_state(run.state).amplitudes[None, :]
+        _, m = _exact_kernel(amplitudes, resolve_observables(run.observable_set))
+        ideal = {conv: float(rows[0]) for conv, rows in m.items()}
         entry = {
             "recomputed_m": recomputed,
             "reported_m": run.reported_m,
@@ -344,14 +348,36 @@ def format_reconciliation(result: dict) -> str:
     return "\n".join(lines)
 
 
+def _exact_kernel(amplitudes: np.ndarray, observables) -> tuple[list, dict]:
+    """One batched kernel pass per cycle context over (batch, 2^n) amplitude
+    rows: the binned coarse entries, and M per row in each convention."""
+    n = len(observables)
+    fine = [
+        (kind, key, ctx, record_probabilities(amplitudes, ctx))
+        for kind, key, ctx in cycle_contexts(observables)
+    ]
+    coarse = [(kind, key, ctx, p @ binning_matrix(ctx)) for kind, key, ctx, p in fine]
+    return coarse, {
+        convention: evaluate_m_cycle(
+            {key: entropy_rows(p) for key, p in _dists(entries, "pair").items()},
+            {i: entropy_rows(p) for i, p in _dists(entries, "single").items()},
+            n,
+        )
+        for convention, entries in (("coarse", coarse), ("fine", fine))
+    }
+
+
 def exact_m(
     state: QuantumState,
     observables: tuple[PauliString, ...],
     convention: str,
 ) -> float:
-    """Witness value of the exact simulation in one convention."""
-    entries = _exact_entries(state, observables, convention)
-    return _report(entries, convention, len(observables)).m_value
+    """Witness value of the exact simulation in one convention: the one-row
+    case of the batched kernel."""
+    if convention not in ("coarse", "fine"):
+        raise ValueError(f"unknown convention {convention!r}")
+    _, m = _exact_kernel(state.amplitudes[None, :], observables)
+    return float(m[convention][0])
 
 
 def sweep(
@@ -368,22 +394,10 @@ def sweep(
     n = len(observables)
     a, b = np.asarray(alphas, float), np.asarray(betas, float)
     alpha, beta = np.repeat(a, b.size), np.tile(b, a.size)
-    amplitudes = family_amplitudes(family, alpha, beta)
-    fine = [
-        (kind, key, ctx, record_probabilities(amplitudes, ctx))
-        for kind, key, ctx in cycle_contexts(observables)
-    ]
-    coarse = [(kind, key, ctx, p @ binning_matrix(ctx)) for kind, key, ctx, p in fine]
-    m_coarse, m_fine = (
-        evaluate_m_cycle(
-            {key: entropy_rows(p) for key, p in _dists(entries, "pair").items()},
-            {i: entropy_rows(p) for i, p in _dists(entries, "single").items()},
-            n,
-        ).tolist()
-        for entries in (coarse, fine)
-    )
+    coarse, m = _exact_kernel(family_amplitudes(family, alpha, beta), observables)
     pairs, labels = _dists(coarse, "pair"), coarse_labels(2)
     rows = []
+    m_coarse, m_fine = m["coarse"].tolist(), m["fine"].tolist()
     for k, point in enumerate(zip(alpha.tolist(), beta.tolist(), m_coarse, m_fine)):
         dists = {key: OutcomeDistribution(labels, p[k]) for key, p in pairs.items()}
         lp = lp_feasibility(dists, n, lp_tolerance_for(n, EXACT))
@@ -528,14 +542,13 @@ def write_sampled_counts(config: ExperimentConfig, out_dir: str) -> list[Path]:
     """Sample every context of a config and write one counts file each."""
     if config.shots == EXACT:
         raise ValueError("sampling needs an integer shot count")
-    result = run_experiment(config)
     observables = resolve_observables(config.observable_set)
+    entries, counts = _noisy_entries(config, observables)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for kind, key, ctx in cycle_contexts(observables, config.convention):
-        record = result.counts[key]
+    for kind, key, ctx, _ in entries:
         path = out / f"{context_file_stem(kind, key)}.json"
-        write_counts(path, [str(o) for o in ctx.observables], record)
+        write_counts(path, [str(o) for o in ctx.observables], counts[key])
         paths.append(path)
     return paths

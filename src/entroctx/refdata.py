@@ -20,8 +20,6 @@ from types import MappingProxyType
 from .entropy import EntropyReport
 from .statevec import PRESET_S1, PRESET_S2, StatePrepSpec
 
-REFERENCE_SHOTS = 8192
-
 _S1_SINGLES = {2: 1.64585197639, 3: 1.64895625081, 4: 1.59833444323}
 _S1_PAIRS = {
     (1, 2): 1.66393718437,

@@ -126,14 +126,20 @@ def _entropy_mismatch(
     probs: list[np.ndarray], targets: list[float], eps: np.ndarray
 ) -> np.ndarray:
     """Sum over distributions of (H((1-eps) p + eps/K) - target)^2 for every
-    weight in the array eps at once, with 0 log 0 = 0."""
-    total = np.zeros(eps.shape)
-    for p, target in zip(probs, targets):
-        noisy = (1.0 - eps)[:, None] * p + (eps / p.size)[:, None]
-        noisy /= noisy.sum(axis=1, keepdims=True)
+    weight in the array eps at once, with 0 log 0 = 0. Distributions of one
+    size K are scored as one stack; padding or reordering the outcome axis
+    would change numpy's summation order, so neither is done."""
+    errors: list = [None] * len(probs)
+    for k in dict.fromkeys(p.size for p in probs):
+        group = [j for j, p in enumerate(probs) if p.size == k]
+        noisy = (1.0 - eps)[:, None, None] * np.array([probs[j] for j in group])
+        noisy += (eps / k)[:, None, None]
+        noisy /= noisy.sum(axis=2, keepdims=True)
         logs = np.log2(noisy, out=np.zeros_like(noisy), where=noisy > 0.0)
-        total += (-(noisy * logs).sum(axis=1) - target) ** 2
-    return total
+        h = -(noisy * logs).sum(axis=2)
+        for column, j in enumerate(group):
+            errors[j] = (h[:, column] - targets[j]) ** 2
+    return sum(errors, np.zeros(eps.shape))
 
 
 def fit_depolarizing(
@@ -151,6 +157,9 @@ def fit_depolarizing(
         raise ValueError("need matching distributions and target entropies")
     probs = [dist.probs for dist in dists]
     targets = [float(t) for t in target_entropies]
+    for position, target in enumerate(targets):
+        if not math.isfinite(target):
+            raise ValueError(f"target entropy {position} is not finite: {target}")
 
     def score(eps: float) -> float:
         return float(_entropy_mismatch(probs, targets, np.array([eps]))[0])

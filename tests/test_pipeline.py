@@ -154,6 +154,37 @@ def test_counts_files_round_trip(tmp_path):
     )
 
 
+@pytest.mark.parametrize("preset", ["s1", "s2"])
+@pytest.mark.parametrize("convention", ["coarse", "fine"])
+def test_write_sampled_counts_solves_no_lp_and_writes_no_report(
+    tmp_path, monkeypatch, preset, convention
+):
+    # sampling stops at the counts: no LP, and a configured report path
+    # stays untouched; the records are exactly the run's draws
+    flip = ((0.97, 0.03), (0.04, 0.96)) if convention == "fine" else None
+    report = tmp_path / "report.json"
+    config = preset_config(
+        preset,
+        convention=convention,
+        shots=8192,
+        seed=11,
+        noise=NoiseModel(0.05, flip),
+        outputs=str(report),
+    )
+    expected = run_experiment(replace(config, outputs=None)).counts
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("write_sampled_counts solved an LP")
+
+    monkeypatch.setattr(pipeline, "lp_feasibility", no_lp)
+    paths = write_sampled_counts(config, tmp_path / "counts")
+    assert not report.exists()
+    contexts = cycle_contexts(resolve_observables(config.observable_set), convention)
+    assert len(paths) == len(contexts) == 8
+    for (_, key, ctx), path in zip(contexts, paths):
+        assert read_counts(path) == (tuple(map(str, ctx.observables)), expected[key])
+
+
 def test_ingest_missing_context_named(tmp_path):
     config = preset_config("s1", shots=2048, seed=11)
     paths = write_sampled_counts(config, tmp_path / "counts")
@@ -473,9 +504,20 @@ def test_exact_m_helper_agrees():
     assert exact_m(state, observables, "coarse") == pytest.approx(
         S1_COARSE_M, abs=1e-12
     )
-    for convention in ("coarse", "fine"):
-        run = run_experiment(preset_config("s1", convention=convention))
-        assert exact_m(state, observables, convention) == run.report.m_value
+    cycle3 = StatePrepSpec(
+        "explicit", explicit_amplitudes=(0.5, 0.5, 0.5j, 0, 0.5, 0, 0, 0)
+    )
+    cases = (("table1", PRESET_S1), (("XXI", "YYZ", "ZZI"), cycle3))
+    for observable_set, spec in cases:
+        state = prepare_state(spec)
+        observables = resolve_observables(observable_set)
+        for convention in ("coarse", "fine"):
+            run = run_experiment(ExperimentConfig(observable_set, spec, convention))
+            assert exact_m(state, observables, convention) == run.report.m_value
+    with pytest.raises(ValueError, match="3-qubit context on a 2-qubit state"):
+        exact_m(prepare_state(PRESET_S1), observables, "fine")
+    with pytest.raises(ValueError, match="unknown convention 'medium'"):
+        exact_m(state, observables, "medium")
 
 
 def test_ingest_rejects_duplicate_context_records():

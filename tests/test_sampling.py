@@ -11,6 +11,7 @@ from entroctx.pipeline import cycle_contexts, resolve_observables
 from entroctx.refdata import REFERENCE_RUNS
 from entroctx.sampling import (
     CountsRecord,
+    _entropy_mismatch,
     NoiseModel,
     apply_noise,
     fit_depolarizing,
@@ -142,6 +143,10 @@ def test_fit_one_when_target_is_maximal():
 def test_fit_validation():
     with pytest.raises(ValueError):
         fit_depolarizing([], [])
+    dists = [bit_dist([0.5, 0.5]), bit_dist([0.25, 0.25, 0.25, 0.25])]
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"target entropy 1 is not finite: {bad}"):
+            fit_depolarizing(dists, [1.0, bad])
 
 
 def _reference_fit(name: str):
@@ -214,6 +219,23 @@ CYCLE3 = (
     StatePrepSpec("explicit", explicit_amplitudes=(0.5, 0.5, 0.5j, 0, 0.5, 0, 0, 0)),
 )
 
+# unsorted outcome counts 4, 2, 8, 2, 4 with zero entries: the fit stacks
+# distributions of one size and must still add errors in this order
+MIXED_SIZES = [
+    bit_dist([0.47, 0.0, 0.31, 0.22]),
+    bit_dist([0.0, 1.0]),
+    bit_dist([0.13, 0.0, 0.21, 0.07, 0.0, 0.29, 0.17, 0.13]),
+    bit_dist([0.71, 0.29]),
+    bit_dist([0.19, 0.23, 0.41, 0.17]),
+]
+
+PRESET_FITS = [
+    ("table1", PRESET_S1, "coarse"),
+    ("table1", PRESET_S1, "fine"),
+    ("table2", PRESET_S2, "coarse"),
+    ("table2", PRESET_S2, "fine"),
+]
+
 
 def _assert_fit_matches_loop(dists, targets):
     fit = fit_depolarizing(dists, targets)
@@ -225,17 +247,14 @@ def _assert_fit_matches_loop(dists, targets):
 
 @pytest.mark.parametrize(
     "observable_set, spec, convention",
-    [
-        ("table1", PRESET_S1, "coarse"),
-        ("table1", PRESET_S1, "fine"),
-        ("table2", PRESET_S2, "coarse"),
-        ("table2", PRESET_S2, "fine"),
-        (*CYCLE3, "fine"),
-    ],
+    [*PRESET_FITS, (*CYCLE3, "fine"), pytest.param(None, None, None, id="mixed-sizes")],
 )
 def test_vectorized_fit_matches_the_per_weight_loop(observable_set, spec, convention):
-    dists = _exact_dists(observable_set, spec, convention)
-    rng = np.random.default_rng(sum(map(ord, str(observable_set) + convention)))
+    if spec is None:
+        dists = MIXED_SIZES
+    else:
+        dists = _exact_dists(observable_set, spec, convention)
+    rng = np.random.default_rng(sum(map(ord, f"{observable_set}{convention}")))
     for eps in rng.uniform(0.0, 0.5, 2):
         noise = NoiseModel(depolarizing_epsilon=eps)
         targets = [
@@ -254,6 +273,40 @@ def test_vectorized_fit_matches_the_loop_at_zero_and_full_noise(observable_set, 
     assert _assert_fit_matches_loop(dists, exact).epsilon < 1e-4
     maximal = [np.log2(len(d.labels)) for d in dists]
     assert _assert_fit_matches_loop(dists, maximal).epsilon > 1.0 - 1e-4
+
+
+def _loop_mismatch(probs, targets, eps):
+    """The per-distribution objective the size-stacked one replaced."""
+    total = np.zeros(eps.shape)
+    for p, target in zip(probs, targets):
+        noisy = (1.0 - eps)[:, None] * p + (eps / p.size)[:, None]
+        noisy /= noisy.sum(axis=1, keepdims=True)
+        logs = np.log2(noisy, out=np.zeros_like(noisy), where=noisy > 0.0)
+        total += (-(noisy * logs).sum(axis=1) - target) ** 2
+    return total
+
+
+@pytest.mark.parametrize(
+    "observable_set, spec, convention",
+    [*PRESET_FITS, pytest.param(None, None, None, id="mixed-sizes")],
+)
+def test_stacked_objective_equals_the_per_distribution_loop(
+    observable_set, spec, convention
+):
+    # same arithmetic in the same order, so the grid scores are equal, not close
+    if spec is None:
+        probs, targets = [d.probs for d in MIXED_SIZES], [1.0, 0.5, 2.0, 0.9, 1.5]
+    else:
+        probs = [d.probs for d in _exact_dists(observable_set, spec, convention)]
+        run = REFERENCE_RUNS["s1" if observable_set == "table1" else "s2"]
+        contexts = cycle_contexts(resolve_observables(observable_set))
+        targets = [
+            run.h_singles[key] if kind == "single" else run.h_pairs[key]
+            for kind, key, _ in contexts
+        ]
+    grid = np.linspace(0.0, 1.0, 1001)
+    stacked = _entropy_mismatch(probs, targets, grid)
+    assert np.array_equal(stacked, _loop_mismatch(probs, targets, grid))
 
 
 def test_sampled_entropy_tracks_exact():
