@@ -11,7 +11,7 @@ same state and observables.
 
 from entroctx import (
     REFERENCE_RUNS,
-    evaluate_m,
+    evaluate_m_cycle,
     format_reconciliation,
     reproduce_reference,
 )
@@ -24,7 +24,7 @@ for name, run in REFERENCE_RUNS.items():
         print(f"  H(X{i}) = {h:.11f}")
     for (i, j), h in run.h_pairs.items():
         print(f"  H(X{i}X{j}) = {h:.11f}")
-    m = evaluate_m(dict(run.h_pairs), dict(run.h_singles))
+    m = evaluate_m_cycle(dict(run.h_pairs), dict(run.h_singles), 5)
     print(f"  recomputed M = {m:+.11f}   (printed alongside: {run.reported_m})")
     print()
 

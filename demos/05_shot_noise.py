@@ -13,7 +13,7 @@ import numpy as np
 from entroctx import (
     cycle_contexts,
     estimate_entropy,
-    evaluate_m,
+    evaluate_m_cycle,
     joint_distribution_fine,
     prepare_state,
     preset_config,
@@ -41,9 +41,10 @@ print(f"Miller-Madow estimate = {estimate_entropy(counts, bias_correction=True):
 
 # The witness M inherits the per-context estimation error.  Averaged
 # over seeds, the error shrinks roughly like 1/sqrt(shots).
-m_exact = evaluate_m(
+m_exact = evaluate_m_cycle(
     {key: shannon_entropy(d) for kind, key, d in entries if kind == "pair"},
     {key: shannon_entropy(d) for kind, key, d in entries if kind == "single"},
+    5,
 )
 print(f"\nexact fine M = {m_exact:+.6f}")
 print("shots    mean |M_hat - M|   (30 seeds)")
@@ -54,5 +55,5 @@ for shots in (2**13, 2**16, 2**19):
         for index, (kind, key, d) in enumerate(entries):
             c = sample_counts(d, shots, seed=1000 * seed + index)
             (h_singles if kind == "single" else h_pairs)[key] = estimate_entropy(c)
-        errors.append(abs(evaluate_m(h_pairs, h_singles) - m_exact))
+        errors.append(abs(evaluate_m_cycle(h_pairs, h_singles, 5) - m_exact))
     print(f"{shots:6d}   {np.mean(errors):.5f}")

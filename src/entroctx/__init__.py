@@ -22,7 +22,6 @@ from .entropy import (
     conditional_entropy,
     entropies_from_counts,
     estimate_entropy,
-    evaluate_m,
     evaluate_m_cycle,
     marginal,
     shannon_entropy,
@@ -102,7 +101,6 @@ from .statevec import (
     apply_gate,
     circuit_unitary,
     prepare_state,
-    projection_probability,
     synthesize_prep_circuit,
 )
 

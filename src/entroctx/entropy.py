@@ -126,11 +126,6 @@ def evaluate_m_cycle(h_pairs: Mapping, h_singles: Mapping, n: int) -> float:
     return wrap - chain + sum(singles.values())
 
 
-def evaluate_m(h_pairs: Mapping, h_singles: Mapping) -> float:
-    """Five-observable witness M = H(X5X1) - chain pairs + interior singles."""
-    return evaluate_m_cycle(h_pairs, h_singles, 5)
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     """The eight entropies that enter M, plus the evaluated witness."""

@@ -21,7 +21,6 @@ from .contexts import (
     OutcomeDistribution,
     binning_matrix,
     coarse_labels,
-    coarsen,
     export_measurement_circuit,
     joint_distribution_coarse,
     joint_distribution_fine,
@@ -31,10 +30,8 @@ from .entropy import (
     EntropyReport,
     cycle_pair_keys,
     cycle_single_keys,
-    entropies_from_counts,
     entropy_rows,
     evaluate_m_cycle,
-    shannon_entropy,
 )
 from .ncmodels import FeasibilityResult, lp_feasibility
 from .pauli import OBSERVABLE_SETS, PauliString, as_pauli, verify_cycle
@@ -55,6 +52,7 @@ EXACT = "exact"
 IDEAL_CLASSIFICATION = (
     "no ideal violation; measured positivity consistent with noise/convention"
 )
+_PAIR_LABELS = coarse_labels(2)
 
 
 @dataclass(frozen=True)
@@ -134,26 +132,56 @@ def _dists(entries, kind: str) -> dict:
     return {key: dist for k, key, _, dist in entries if k == kind}
 
 
-def _report(entries, convention: str, n: int) -> EntropyReport:
-    """Entries -> entropies -> witness M."""
-    h_singles = {i: shannon_entropy(d) for i, d in _dists(entries, "single").items()}
-    h_pairs = {key: shannon_entropy(d) for key, d in _dists(entries, "pair").items()}
-    return EntropyReport.from_entropies(h_singles, h_pairs, convention, n)
+def _analyse(entries, n: int, convention: str, tolerance: float | None = None) -> tuple:
+    """The one analysis stage of every route.
+
+    `entries` are (kind, key, ctx, rows) in cycle_contexts order, rows a
+    (batch, K) array of probabilities over the context's fine records or
+    coarse outcomes, as `convention` says. Returns the single and pair
+    entropy tables and M, each per row, and with a tolerance each row's
+    coarse pair distributions and the LP verdict on them.
+    """
+    h: dict = {"single": {}, "pair": {}}
+    coarse = {}
+    for kind, key, ctx, rows in entries:
+        h[kind][key] = entropy_rows(rows)
+        if kind == "pair" and tolerance is not None:
+            coarse[key] = rows @ binning_matrix(ctx) if convention == "fine" else rows
+    m = evaluate_m_cycle(h["pair"], h["single"], n)
+    checked = []
+    for k in range(len(m) if tolerance is not None else 0):
+        pairs = {
+            key: OutcomeDistribution(_PAIR_LABELS, p[k]) for key, p in coarse.items()
+        }
+        checked.append((pairs, lp_feasibility(pairs, n, tolerance)))
+    return h["single"], h["pair"], m, checked
 
 
-def _coarse_pairs(entries) -> dict[tuple[int, int], OutcomeDistribution]:
-    """Coarse pair distributions for the LP: fine records are binned through
-    their context, eigenvalue tables are laid out over all four outcomes."""
-    labels = coarse_labels(2)
-    pairs = {}
-    for kind, key, ctx, dist in entries:
-        if kind == "pair" and all(isinstance(lb, str) for lb in dist.labels):
-            pairs[key] = coarsen(dist, ctx)
-        elif kind == "pair":
-            table = dist.as_dict()
-            probs = np.array([table.get(lb, 0.0) for lb in labels])
-            pairs[key] = OutcomeDistribution(labels, probs)
-    return pairs
+def _analyse_run(entries, convention: str, n: int, tolerance: float) -> tuple:
+    """One run's (kind, key, ctx, dist) entries through the stage: its
+    report, and its coarse pairs with the LP verdict on them."""
+    rows = [(kind, key, ctx, dist.probs[None, :]) for kind, key, ctx, dist in entries]
+    singles, pairs, m, checked = _analyse(rows, n, convention, tolerance)
+    h_singles = {i: float(h[0]) for i, h in singles.items()}
+    h_pairs = {key: float(h[0]) for key, h in pairs.items()}
+    return EntropyReport(h_singles, h_pairs, float(m[0]), convention, n), checked[0]
+
+
+def _counts_dist(record: CountsRecord, ctx, convention: str) -> OutcomeDistribution:
+    """count / shots over every outcome of the context in the convention, zero
+    where a label is absent; a label that is not one of them is rejected."""
+    n = ctx.n_qubits
+    fine = tuple(format(b, f"0{n}b") for b in range(2**n))
+    labels = fine if convention == "fine" else coarse_labels(len(ctx.observables))
+    counts = np.zeros(len(labels))
+    for label, count in record.counts.items():
+        if label not in labels:
+            raise ValueError(
+                f"counts label {label!r} is not a {convention} outcome of "
+                f"context ({ctx.label_text()})"
+            )
+        counts[labels.index(label)] = int(count)
+    return OutcomeDistribution(labels, counts / record.shots)
 
 
 def lp_tolerance_for(n: int, shots: int | str) -> float:
@@ -207,14 +235,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     entries, counts = _noisy_entries(config, observables)
     if config.shots != EXACT:
         entries = [
-            (kind, key, ctx, entropies_from_counts(counts[key]))
+            (kind, key, ctx, _counts_dist(counts[key], ctx, config.convention))
             for kind, key, ctx, _ in entries
         ]
-
-    report = _report(entries, config.convention, n)
-    coarse_pairs = _coarse_pairs(entries)
-    feasibility = lp_feasibility(
-        coarse_pairs, n, lp_tolerance_for(n, config.shots)
+    report, (coarse_pairs, feasibility) = _analyse_run(
+        entries, config.convention, n, lp_tolerance_for(n, config.shots)
     )
 
     payload = None
@@ -248,7 +273,8 @@ def ingest_counts(
 
     `records` pairs each counts table with the observable texts of its
     context. The label style of the counts decides the convention:
-    bit-strings are fine records, +/- strings are coarse outcomes.
+    bit-strings are fine records, +/- strings are coarse outcomes. Every
+    label must be an outcome of its context in that convention.
     """
     observables = resolve_observables(observable_set)
     n = len(observables)
@@ -268,16 +294,16 @@ def ingest_counts(
         names = ", ".join("(" + ",".join(t) + ")" for t in missing)
         raise ValueError(f"missing counts for context {names}")
 
-    entries = [
-        (kind, key, ctx, entropies_from_counts(found[texts]))
-        for texts, (kind, key, ctx) in expected.items()
-    ]
-    fine = {all(isinstance(lb, str) for lb in dist.labels) for *_, dist in entries}
+    fine = {all(isinstance(lb, str) for lb in r.counts) for r in found.values()}
     if len(fine) != 1:
         raise ValueError("mixed label conventions across counts records")
-    report = _report(entries, "fine" if fine.pop() else "coarse", n)
+    convention = "fine" if fine.pop() else "coarse"
+    entries = [
+        (kind, key, ctx, _counts_dist(found[texts], ctx, convention))
+        for texts, (kind, key, ctx) in expected.items()
+    ]
     tolerance = lp_tolerance_for(n, min(record.shots for record in found.values()))
-    feasibility = lp_feasibility(_coarse_pairs(entries), n, tolerance)
+    report, (_, feasibility) = _analyse_run(entries, convention, n, tolerance)
     return IngestResult(
         report, feasibility, _dists(entries, "single"), _dists(entries, "pair")
     )
@@ -306,9 +332,12 @@ def reproduce_reference() -> dict:
                 f"{recomputed:.11f} but the source table prints "
                 f"{run.reported_m}; both values reported, neither adjusted"
             )
+        observables = resolve_observables(run.observable_set)
         amplitudes = prepare_state(run.state).amplitudes[None, :]
-        _, m = _exact_kernel(amplitudes, resolve_observables(run.observable_set))
-        ideal = {conv: float(rows[0]) for conv, rows in m.items()}
+        ideal = {
+            conv: float(_analyse(rows, len(observables), conv)[2][0])
+            for conv, rows in _exact_entries(amplitudes, observables).items()
+        }
         entry = {
             "recomputed_m": recomputed,
             "reported_m": run.reported_m,
@@ -348,23 +377,15 @@ def format_reconciliation(result: dict) -> str:
     return "\n".join(lines)
 
 
-def _exact_kernel(amplitudes: np.ndarray, observables) -> tuple[list, dict]:
-    """One batched kernel pass per cycle context over (batch, 2^n) amplitude
-    rows: the binned coarse entries, and M per row in each convention."""
-    n = len(observables)
-    fine = [
-        (kind, key, ctx, record_probabilities(amplitudes, ctx))
-        for kind, key, ctx in cycle_contexts(observables)
-    ]
-    coarse = [(kind, key, ctx, p @ binning_matrix(ctx)) for kind, key, ctx, p in fine]
-    return coarse, {
-        convention: evaluate_m_cycle(
-            {key: entropy_rows(p) for key, p in _dists(entries, "pair").items()},
-            {i: entropy_rows(p) for i, p in _dists(entries, "single").items()},
-            n,
-        )
-        for convention, entries in (("coarse", coarse), ("fine", fine))
-    }
+def _exact_entries(amplitudes: np.ndarray, observables) -> dict[str, list]:
+    """Stage entries of a (batch, 2^n) amplitude array in both conventions,
+    from one kernel pass per context: the fine records, and them binned."""
+    entries: dict[str, list] = {"coarse": [], "fine": []}
+    for kind, key, ctx in cycle_contexts(observables):
+        p = record_probabilities(amplitudes, ctx)
+        entries["coarse"].append((kind, key, ctx, p @ binning_matrix(ctx)))
+        entries["fine"].append((kind, key, ctx, p))
+    return entries
 
 
 def exact_m(
@@ -373,11 +394,11 @@ def exact_m(
     convention: str,
 ) -> float:
     """Witness value of the exact simulation in one convention: the one-row
-    case of the batched kernel."""
+    case of the sweep's analysis."""
     if convention not in ("coarse", "fine"):
         raise ValueError(f"unknown convention {convention!r}")
-    _, m = _exact_kernel(state.amplitudes[None, :], observables)
-    return float(m[convention][0])
+    entries = _exact_entries(state.amplitudes[None, :], observables)[convention]
+    return float(_analyse(entries, len(observables), convention)[2][0])
 
 
 def sweep(
@@ -388,20 +409,18 @@ def sweep(
     out: str | None = None,
 ) -> list[tuple]:
     """Exact M over a state-parameter grid, from one batched kernel pass per
-    context whose records, binned, also feed one LP per point; rows (alpha, beta,
-    M_coarse, M_fine, lp_feasible) sorted by (alpha, beta)."""
+    context; the coarse analysis also solves one LP per point. Rows (alpha,
+    beta, M_coarse, M_fine, lp_feasible) sorted by (alpha, beta)."""
     observables = resolve_observables(observable_set)
     n = len(observables)
     a, b = np.asarray(alphas, float), np.asarray(betas, float)
     alpha, beta = np.repeat(a, b.size), np.tile(b, a.size)
-    coarse, m = _exact_kernel(family_amplitudes(family, alpha, beta), observables)
-    pairs, labels = _dists(coarse, "pair"), coarse_labels(2)
-    rows = []
-    m_coarse, m_fine = m["coarse"].tolist(), m["fine"].tolist()
-    for k, point in enumerate(zip(alpha.tolist(), beta.tolist(), m_coarse, m_fine)):
-        dists = {key: OutcomeDistribution(labels, p[k]) for key, p in pairs.items()}
-        lp = lp_feasibility(dists, n, lp_tolerance_for(n, EXACT))
-        rows.append((*point, lp.feasible))
+    entries = _exact_entries(family_amplitudes(family, alpha, beta), observables)
+    tolerance = lp_tolerance_for(n, EXACT)
+    _, _, m_coarse, checked = _analyse(entries["coarse"], n, "coarse", tolerance)
+    m_fine = _analyse(entries["fine"], n, "fine")[2]
+    points = zip(alpha.tolist(), beta.tolist(), m_coarse.tolist(), m_fine.tolist())
+    rows = [(*point, lp.feasible) for point, (_, lp) in zip(points, checked)]
     rows.sort(key=lambda r: (r[0], r[1]))
     if out:
         write_sweep_csv(out, rows)

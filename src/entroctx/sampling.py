@@ -179,5 +179,5 @@ def fit_depolarizing(
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = score(d)
-    best = 0.5 * (a + b)
+    best = float(0.5 * (a + b))
     return DepolarizingFit(best, score(best))

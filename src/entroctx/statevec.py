@@ -177,20 +177,6 @@ def circuit_unitary(gates: list[GateOp], n: int) -> np.ndarray:
     )
 
 
-def projection_probability(state: QuantumState, projector: np.ndarray) -> float:
-    """Born-rule probability <psi|P|psi>, clamped to [0, 1]."""
-    proj = np.asarray(projector)
-    dim = state.amplitudes.shape[0]
-    if proj.shape != (dim, dim):
-        raise ValueError(f"projector shape {proj.shape} does not match dim {dim}")
-    if np.abs(proj @ proj - proj).max() > 1e-8:
-        raise ValueError("matrix is not idempotent")
-    if np.abs(proj - proj.conj().T).max() > 1e-8:
-        raise ValueError("matrix is not Hermitian")
-    p = float(np.real(state.amplitudes.conj() @ (proj @ state.amplitudes)))
-    return min(1.0, max(0.0, p))
-
-
 def _product_factors(amps: np.ndarray, n: int) -> list[np.ndarray]:
     """Factor a state into per-qubit vectors, or raise if entangled."""
     factors = []

@@ -27,7 +27,7 @@ from entroctx import (
     cycle_contexts,
     enumerate_assignments,
     estimate_entropy,
-    evaluate_m,
+    evaluate_m_cycle,
     export_qasm_suite,
     joint_distribution_coarse,
     joint_distribution_fine,
@@ -123,7 +123,7 @@ def verdict(capsys):
 
 def test_criterion_01_bundled_s2_entropies(verdict):
     run = REFERENCE_RUNS["s2"]
-    m = evaluate_m(dict(run.h_pairs), dict(run.h_singles))
+    m = evaluate_m_cycle(dict(run.h_pairs), dict(run.h_singles), 5)
     ok = abs(m - 0.12597) <= 1e-5
     verdict(
         1,
@@ -135,7 +135,7 @@ def test_criterion_01_bundled_s2_entropies(verdict):
 
 def test_criterion_02_bundled_s1_discrepancy(verdict, reconciliation):
     run = REFERENCE_RUNS["s1"]
-    m = evaluate_m(dict(run.h_pairs), dict(run.h_singles))
+    m = evaluate_m_cycle(dict(run.h_pairs), dict(run.h_singles), 5)
     near_recompute = abs(m - 0.31593) <= 1e-4
     differs_from_print = abs(m - run.reported_m) > 1e-5
     flagged = any(
@@ -283,7 +283,7 @@ def _positive_marginal_sets():
                     else:
                         h_pairs[key] = shannon_entropy(coarse)
                         pair_dists[key] = coarse
-                m = evaluate_m(h_pairs, h_singles)
+                m = evaluate_m_cycle(h_pairs, h_singles, 5)
                 if m > 1e-6:
                     sets.append((preset, m, pair_dists))
     return sets
@@ -373,9 +373,10 @@ def test_criterion_08_sampling_calibration(verdict):
             for kind, key, ctx in cycle_contexts(observables, "fine")
         ]
         h_exact = [shannon_entropy(dist) for _, _, dist in entries]
-        m_exact = evaluate_m(
+        m_exact = evaluate_m_cycle(
             {key: h for (kind, key, _), h in zip(entries, h_exact) if kind == "pair"},
             {key: h for (kind, key, _), h in zip(entries, h_exact) if kind == "single"},
+            5,
         )
         mean_dm = []
         for level, shots in enumerate(shot_levels):
@@ -388,7 +389,7 @@ def test_criterion_08_sampling_calibration(verdict):
                     h_hat = estimate_entropy(sample_counts(dist, shots, seed))
                     dh_totals[c_index] += abs(h_hat - h_exact[c_index])
                     (h_singles if kind == "single" else h_pairs)[key] = h_hat
-                dm_total += abs(evaluate_m(h_pairs, h_singles) - m_exact)
+                dm_total += abs(evaluate_m_cycle(h_pairs, h_singles, 5) - m_exact)
             mean_dm.append(dm_total / seeds)
             if shots == 8192:
                 max_mean_dh = max(max_mean_dh, max(dh_totals) / seeds)

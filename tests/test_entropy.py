@@ -9,7 +9,6 @@ from entroctx.entropy import (
     cycle_single_keys,
     entropies_from_counts,
     estimate_entropy,
-    evaluate_m,
     evaluate_m_cycle,
     marginal,
     shannon_entropy,
@@ -81,13 +80,13 @@ def test_chain_rule_and_axioms_on_random_joints():
 
 def test_evaluate_m_reference_s2():
     run = REFERENCE_RUNS["s2"]
-    m = evaluate_m(dict(run.h_pairs), dict(run.h_singles))
+    m = evaluate_m_cycle(dict(run.h_pairs), dict(run.h_singles), 5)
     assert m == pytest.approx(0.12597, abs=1e-5)
 
 
 def test_evaluate_m_reference_s1_recomputation():
     run = REFERENCE_RUNS["s1"]
-    m = evaluate_m(dict(run.h_pairs), dict(run.h_singles))
+    m = evaluate_m_cycle(dict(run.h_pairs), dict(run.h_singles), 5)
     assert m == pytest.approx(0.31593, abs=1e-4)
     assert m != pytest.approx(run.reported_m, abs=1e-4)
 
@@ -95,14 +94,14 @@ def test_evaluate_m_reference_s1_recomputation():
 def test_evaluate_m_all_zero():
     pairs = {k: 0.0 for k in cycle_pair_keys(5)}
     singles = {k: 0.0 for k in cycle_single_keys(5)}
-    assert evaluate_m(pairs, singles) == 0.0
+    assert evaluate_m_cycle(pairs, singles, 5) == 0.0
 
 
 def test_evaluate_m_accepts_string_keys():
     run = REFERENCE_RUNS["s2"]
     pairs = {f"{i}-{j}": v for (i, j), v in run.h_pairs.items()}
     singles = {str(k): v for k, v in run.h_singles.items()}
-    assert evaluate_m(pairs, singles) == pytest.approx(0.12597, abs=1e-5)
+    assert evaluate_m_cycle(pairs, singles, 5) == pytest.approx(0.12597, abs=1e-5)
 
 
 def test_evaluate_m_missing_entry_named():
@@ -110,18 +109,18 @@ def test_evaluate_m_missing_entry_named():
     pairs = dict(run.h_pairs)
     del pairs[(2, 3)]
     with pytest.raises(ValueError, match="X2X3"):
-        evaluate_m(pairs, dict(run.h_singles))
+        evaluate_m_cycle(pairs, dict(run.h_singles), 5)
     singles = dict(run.h_singles)
     del singles[3]
     with pytest.raises(ValueError, match="single X3"):
-        evaluate_m(dict(run.h_pairs), singles)
+        evaluate_m_cycle(dict(run.h_pairs), singles, 5)
 
 
 def test_evaluate_m_rejects_non_finite():
     pairs = {k: 1.0 for k in cycle_pair_keys(5)}
     singles = {2: 1.0, 3: float("nan"), 4: 1.0}
     with pytest.raises(ValueError, match="non-finite"):
-        evaluate_m(pairs, singles)
+        evaluate_m_cycle(pairs, singles, 5)
 
 
 def test_evaluate_m_cycle_small_cases():
@@ -160,8 +159,9 @@ def test_evaluate_m_is_linear():
         lam = float(RNG.uniform())
         mixed_p = {k: lam * p1[k] + (1 - lam) * p2[k] for k in p1}
         mixed_s = {k: lam * s1[k] + (1 - lam) * s2[k] for k in s1}
-        direct = evaluate_m(mixed_p, mixed_s)
-        combo = lam * evaluate_m(p1, s1) + (1 - lam) * evaluate_m(p2, s2)
+        direct = evaluate_m_cycle(mixed_p, mixed_s, 5)
+        combo = lam * evaluate_m_cycle(p1, s1, 5)
+        combo += (1 - lam) * evaluate_m_cycle(p2, s2, 5)
         assert direct == pytest.approx(combo, abs=1e-12)
 
 

@@ -29,7 +29,7 @@ from entroctx.pipeline import (
     write_sampled_counts,
 )
 from entroctx.refdata import REFERENCE_RUNS
-from entroctx.reports import read_counts, read_report, report_to_dict
+from entroctx.reports import counts_from_dict, read_counts, read_report, report_to_dict
 from entroctx.sampling import NoiseModel, sample_counts
 from entroctx.statevec import (
     PRESET_S1,
@@ -142,16 +142,31 @@ def test_report_payload_m_matches_snapped_entries():
 
 
 def test_counts_files_round_trip(tmp_path):
-    config = preset_config("s1", shots=2048, seed=11)
-    paths = write_sampled_counts(config, tmp_path / "counts")
-    assert len(paths) == 8
-    texts, record = read_counts(paths[0])
-    assert record.shots == 2048
-    result = ingest_counts_files(paths, "table1")
-    direct = run_experiment(config)
-    assert result.report.m_value == pytest.approx(
-        direct.report.m_value, abs=1e-12
-    )
+    # a sampled run and the ingest of its written counts go through one
+    # analysis stage, so they agree exactly, noise or not
+    for preset in ("s1", "s2"):
+        for convention in ("coarse", "fine"):
+            flip = ((0.97, 0.03), (0.04, 0.96)) if convention == "fine" else None
+            config = preset_config(
+                preset,
+                convention=convention,
+                shots=2048,
+                seed=11,
+                noise=NoiseModel(0.05, flip),
+            )
+            out = tmp_path / f"{preset}_{convention}"
+            paths = write_sampled_counts(config, out)
+            assert len(paths) == 8
+            texts, record = read_counts(paths[0])
+            assert record.shots == 2048
+            result = ingest_counts_files(paths, config.observable_set)
+            direct = run_experiment(config)
+            # the reports hold every entropy, M and the convention
+            assert result.report == direct.report
+            lp, direct_lp = result.feasibility, direct.feasibility
+            assert lp.feasible == direct_lp.feasible
+            assert lp.total_violation == direct_lp.total_violation
+            assert lp.max_constraint_violation == direct_lp.max_constraint_violation
 
 
 @pytest.mark.parametrize("preset", ["s1", "s2"])
@@ -540,6 +555,28 @@ def test_ingest_rejects_duplicate_context_records():
     assert ingest_counts(records + outside, "table1").report.m_value == (
         ingest_counts(records, "table1").report.m_value
     )
+    # every label must be an outcome of its context, singles included: a
+    # wrong-width single label would otherwise change M without an error
+    for convention, position, bad, named in (
+        ("fine", 0, {"0": 5000, "1": 3192}, "'0'"),
+        ("fine", 0, {"000": 5000, "111": 3192}, "'000'"),
+        ("coarse", 0, {"++": 5000, "--": 3192}, "(1, 1)"),
+        ("coarse", 3, {"++": 4000, "+-": 2000, "-+": 2182, "+++": 10}, "(1, 1, 1)"),
+    ):
+        run = run_experiment(preset_config("s1", convention=convention, shots=8192))
+        contexts = cycle_contexts(resolve_observables("table1"), convention)
+        malformed = []
+        for index, (_, key, ctx) in enumerate(contexts):
+            texts = [str(o) for o in ctx.observables]
+            if index == position:
+                data = {"context": texts, "shots": 8192, "counts": bad}
+                malformed.append(counts_from_dict(data))
+                message = f"label {named} is not a {convention} outcome of context"
+                message += f" ({ctx.label_text()})"
+            else:
+                malformed.append((tuple(texts), run.counts[key]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_counts(malformed, "table1")
 
 
 def test_config_rejects_unknown_keys():

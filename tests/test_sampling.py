@@ -132,6 +132,8 @@ def test_fit_zero_when_target_is_ideal():
     assert fit.epsilon == pytest.approx(0.0, abs=1e-4)
     # epsilon is located to ~1e-4, so the residual floor is quadratic in that
     assert fit.residual == pytest.approx(0.0, abs=1e-6)
+    # both fields are Python floats, as DepolarizingFit declares
+    assert type(fit.epsilon) is float and type(fit.residual) is float
 
 
 def test_fit_one_when_target_is_maximal():

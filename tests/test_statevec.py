@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from entroctx.pauli import PauliString, eigenprojectors
 from entroctx.statevec import (
     PRESET_S1,
     PRESET_S2,
@@ -13,7 +12,6 @@ from entroctx.statevec import (
     circuit_unitary,
     gate_matrix,
     prepare_state,
-    projection_probability,
     synthesize_prep_circuit,
     u3_matrix,
 )
@@ -130,28 +128,6 @@ def test_circuit_unitary_matches_gate_application():
     assert np.allclose(
         u @ state.amplitudes, apply_circuit(state, gates).amplitudes, atol=1e-12
     )
-
-
-def test_projection_probability_examples():
-    plus_z, _ = eigenprojectors(PauliString("Z"))
-    zero = QuantumState(np.array([1.0, 0.0]))
-    plus = QuantumState(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert projection_probability(zero, plus_z) == pytest.approx(1.0)
-    assert projection_probability(plus, plus_z) == pytest.approx(0.5)
-    s1 = prepare_state(PRESET_S1)
-    plus_xx, _ = eigenprojectors(PauliString("XX"))
-    alpha = PRESET_S1.alpha
-    closed_form = (np.cos(alpha) + np.sin(alpha)) ** 2 / 2
-    assert projection_probability(s1, plus_xx) == pytest.approx(closed_form, abs=1e-12)
-    assert projection_probability(s1, plus_xx) == pytest.approx(0.2952, abs=1e-4)
-
-
-def test_projection_probability_validation():
-    state = QuantumState(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        projection_probability(state, np.eye(4))
-    with pytest.raises(ValueError, match="idempotent"):
-        projection_probability(state, np.array([[0.5, 0.5], [-0.5, 0.5]]))
 
 
 def test_synthesis_round_trips_presets():
