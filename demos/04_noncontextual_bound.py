@@ -11,21 +11,21 @@ given set of pair statistics, and certifies infeasibility when none
 exists.
 """
 
+import itertools
+
 import numpy as np
 
 from entroctx import (
     NCModel,
-    enumerate_assignments,
     lp_feasibility,
     m_of_model,
     m_of_models_batch,
     model_marginals,
-    singles_from_pairs,
 )
 
 # Deterministic assignments are the extreme points.  Every entropy in M
 # is then exactly zero, so M = 0 on the nose -- the bound is tight.
-assignments = enumerate_assignments(5)
+assignments = list(itertools.product((1, -1), repeat=5))
 values = [m_of_model(NCModel.point(a)) for a in assignments]
 print(f"{len(assignments)} deterministic assignments, all M == 0.0: "
       f"{all(v == 0.0 for v in values)}")
@@ -62,7 +62,8 @@ result = lp_feasibility(pairs, 5, 1e-9)
 print(f"contradictory set: feasible = {result.feasible}, "
       f"LP optimum (total violation) = {result.total_violation:.4f}")
 
-# Consistent singles can still be read off any pair set, feasible or not.
-singles = singles_from_pairs(pairs, 5)
-print("singles implied by the pairs:",
-      {i: {k: float(v) for k, v in d.as_dict().items()} for i, d in singles.items()})
+# Consistent singles can still be read off any pair set, feasible or not:
+# each observable's single is its marginal in the pair where it comes first.
+singles = {i: {(a,): sum(p for (x, _), p in pair.items() if x == a) for a in (1, -1)}
+           for (i, _), pair in pairs.items()}
+print("singles implied by the pairs:", singles)

@@ -19,23 +19,18 @@ from .contexts import (
 )
 from .entropy import (
     EntropyReport,
-    conditional_entropy,
     entropies_from_counts,
     estimate_entropy,
     evaluate_m_cycle,
-    marginal,
     shannon_entropy,
 )
 from .ncmodels import (
-    DeterministicAssignment,
     FeasibilityResult,
     NCModel,
-    enumerate_assignments,
     lp_feasibility,
     m_of_model,
     m_of_models_batch,
     model_marginals,
-    singles_from_pairs,
 )
 from .pauli import (
     OBSERVABLE_SETS,

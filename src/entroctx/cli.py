@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import cycle_pair_keys, cycle_single_keys
+from .pauli import OBSERVABLE_SETS
 from .pipeline import (
     EXACT,
     ExperimentConfig,
+    cycle_contexts,
     export_qasm_suite,
     format_reconciliation,
-    ingest_counts_files,
+    ingest_counts,
     load_config,
     preset_config,
     reproduce_reference,
@@ -25,7 +27,7 @@ from .pipeline import (
     sweep_summary,
     write_sampled_counts,
 )
-from .reports import read_entropies_file, write_report
+from .reports import read_counts, read_entropies_file, write_report
 from .sampling import fit_depolarizing
 
 
@@ -96,11 +98,31 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _covered_set(records) -> str:
+    """The one bundled observable set whose cycle contexts the counts cover."""
+    found = {tuple(texts) for texts, _ in records}
+    covered = [
+        name
+        for name, obs in OBSERVABLE_SETS.items()
+        if {tuple(map(str, c.observables)) for *_, c in cycle_contexts(obs)} <= found
+    ]
+    if len(covered) != 1:
+        which = "more than one" if covered else "no"
+        raise ValueError(
+            f"counts files cover the cycle contexts of {which} bundled observable "
+            f"set (tried {', '.join(OBSERVABLE_SETS)}); pass --preset or --config"
+        )
+    return covered[0]
+
+
 def _result_for_input(args):
+    config = _effective_config(args)
     if getattr(args, "counts", None):
-        config = _effective_config(args)
-        return ingest_counts_files(args.counts, config.observable_set)
-    return run_experiment(_effective_config(args))
+        records = [read_counts(path) for path in args.counts]
+        named = args.preset or args.config
+        observable_set = config.observable_set if named else _covered_set(records)
+        return ingest_counts(records, observable_set)
+    return run_experiment(config)
 
 
 def _cmd_entropies(args) -> int:

@@ -183,12 +183,6 @@ def _record_index(context: MeasurementContext, label: str) -> int:
     return int(label, 2)
 
 
-def record_eigenvalues(context: MeasurementContext, label: str) -> tuple[int, ...]:
-    """Map one fine record label to the eigenvalue tuple it implies."""
-    row = binning_matrix(context)[_record_index(context, label)]
-    return coarse_labels(len(context.observables))[int(row.argmax())]
-
-
 def coarsen(
     fine: OutcomeDistribution, context: MeasurementContext
 ) -> OutcomeDistribution:

@@ -46,39 +46,12 @@ def shannon_entropy(dist) -> float:
     return float(entropy_rows(_prob_vector(dist)))
 
 
-def marginal(joint: OutcomeDistribution, slot: int) -> OutcomeDistribution:
-    """Marginal over one slot of a joint distribution with composite labels."""
-    sums: dict = {}
-    for label, prob in zip(joint.labels, joint.probs):
-        try:
-            key = label[slot]
-        except (TypeError, IndexError) as exc:
-            raise ValueError(f"label {label!r} does not factor") from exc
-        sums[key] = sums.get(key, 0.0) + prob
-    labels = tuple(sums)
-    return OutcomeDistribution(
-        tuple((k,) for k in labels), np.array([sums[k] for k in labels])
-    )
-
-
-def conditional_entropy(joint: OutcomeDistribution) -> float:
-    """H(A|B) = H(A,B) - H(B) for a joint over two-part labels (A, B)."""
-    for label in joint.labels:
-        if not hasattr(label, "__len__") or len(label) != 2:
-            raise ValueError(f"label {label!r} does not factor as a pair")
-    return shannon_entropy(joint) - shannon_entropy(marginal(joint, 1))
-
-
 def _pair_key(key) -> PairKey:
     if isinstance(key, str):
         i, j = key.split("-")
         return int(i), int(j)
     i, j = key
     return int(i), int(j)
-
-
-def _single_key(key) -> int:
-    return int(key)
 
 
 def cycle_pair_keys(n: int) -> tuple[PairKey, ...]:
@@ -112,7 +85,7 @@ def evaluate_m_cycle(h_pairs: Mapping, h_singles: Mapping, n: int) -> float:
     if n < 3:
         raise ValueError("cycle needs at least 3 observables")
     pair_index = _rekey(h_pairs, _pair_key)
-    single_index = _rekey(h_singles, _single_key)
+    single_index = _rekey(h_singles, int)
     pairs = {
         key: _lookup(pair_index, key, f"pair X{key[0]}X{key[1]}")
         for key in cycle_pair_keys(n)
@@ -138,7 +111,7 @@ class EntropyReport:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        singles = {k: float(v) for k, v in _rekey(self.h_singles, _single_key).items()}
+        singles = {k: float(v) for k, v in _rekey(self.h_singles, int).items()}
         pairs = {k: float(v) for k, v in _rekey(self.h_pairs, _pair_key).items()}
         object.__setattr__(self, "h_singles", singles)
         object.__setattr__(self, "h_pairs", pairs)

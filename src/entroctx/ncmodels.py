@@ -11,53 +11,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
 from .contexts import OutcomeDistribution, coarse_labels
-from .entropy import _pair_key, cycle_pair_keys, cycle_single_keys
-from .entropy import entropy_rows, evaluate_m_cycle, marginal, shannon_entropy
+from .entropy import _pair_key, _rekey, cycle_pair_keys, cycle_single_keys
+from .entropy import entropy_rows, evaluate_m_cycle, shannon_entropy
 
 # The LP tableau is (4n + 1) x (2^n + 8n + 3): one solve takes 2-5 s at n = 13
 # and about 12 s at n = 14 on a 2-vCPU x86 machine.
 MAX_OBSERVABLES = 13
-
-
-@dataclass(frozen=True)
-class DeterministicAssignment:
-    """One +/-1 value per observable; values[k] belongs to X_{k+1}."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values or any(v not in (-1, 1) for v in self.values):
-            raise ValueError("assignment values must be +1 or -1")
-
-    def value_of(self, index: int) -> int:
-        """Value of observable X_index (1-based)."""
-        return self.values[index - 1]
-
-
-def enumerate_assignments(n: int) -> list[DeterministicAssignment]:
-    """All 2^n assignments in binary counting order, bit 0 meaning +1.
-
-    The first observable is the most significant bit, so for n = 2 the
-    order is (+,+), (+,-), (-,+), (-,-).
-    """
-    if n < 1:
-        raise ValueError("need at least one observable")
-    if n > MAX_OBSERVABLES:
-        raise ValueError(f"n = {n} too large (limit {MAX_OBSERVABLES})")
-    return [
-        DeterministicAssignment(
-            tuple(1 if (k >> (n - 1 - j)) & 1 == 0 else -1 for j in range(n))
-        )
-        for k in range(2**n)
-    ]
+_PAIR_LABELS = coarse_labels(2)
 
 
 def value_matrix(n: int) -> np.ndarray:
-    """(2^n, n) array of assignment values in canonical order."""
+    """(2^n, n) array of all assignment values in canonical order: binary
+    counting with bit 0 meaning +1 and the first observable the most
+    significant bit, so for n = 2 the rows are (+,+), (+,-), (-,+), (-,-)."""
     k = np.arange(2**n)[:, None]
     bits = (k >> (n - 1 - np.arange(n))) & 1
     return 1 - 2 * bits
@@ -88,12 +59,14 @@ class NCModel:
         return cls(np.full(2**n, 1.0 / 2**n))
 
     @classmethod
-    def point(cls, assignment: DeterministicAssignment) -> "NCModel":
-        n = len(assignment.values)
+    def point(cls, values: tuple[int, ...]) -> "NCModel":
+        """The deterministic model giving X_{k+1} the value values[k]."""
+        if not values or any(v not in (-1, 1) for v in values):
+            raise ValueError("assignment values must be +1 or -1")
         index = 0
-        for v in assignment.values:
+        for v in values:
             index = (index << 1) | (0 if v == 1 else 1)
-        w = np.zeros(2**n)
+        w = np.zeros(2 ** len(values))
         w[index] = 1.0
         return cls(w)
 
@@ -204,21 +177,32 @@ def _simplex_min_violation(a0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
     return solution[:n_w], float(cost @ solution)
 
 
-def _resolve_pairs(pair_dists, n: int):
-    """Yield ((i, j), distribution) in cycle order; the first key wins."""
-    first = {}
-    for raw, dist in pair_dists.items():
-        first.setdefault(_pair_key(raw), dist)
-    for i, j in cycle_pair_keys(n):
-        if (i, j) not in first:
-            raise ValueError(f"missing pair distribution for X{i}X{j}")
-        dist = first[(i, j)]
-        if not isinstance(dist, OutcomeDistribution):
-            labels = tuple(dist)
-            dist = OutcomeDistribution(
-                labels, np.array([float(dist[lab]) for lab in labels])
-            )
-        yield (i, j), dist
+def _pair_rows(pair_dists, n: int) -> np.ndarray:
+    """The (n, 4) array lp_feasibility reads, from either of its input forms;
+    of two mapping keys for one pair the first wins."""
+    if isinstance(pair_dists, Mapping):
+        first, listed = _rekey(pair_dists, _pair_key), []
+        for i, j in cycle_pair_keys(n):
+            if (i, j) not in first:
+                raise ValueError(f"missing pair distribution for X{i}X{j}")
+            dist = first[(i, j)]
+            if not isinstance(dist, OutcomeDistribution):
+                probs = np.array([float(p) for p in dist.values()])
+                dist = OutcomeDistribution(tuple(dist), probs)
+            table = dist.as_dict()
+            for label in _PAIR_LABELS:
+                if label not in table:
+                    raise ValueError(f"pair X{i}X{j} lacks coarse outcome {label}")
+            listed.append([table[label] for label in _PAIR_LABELS])
+        pair_dists = listed
+    rows = np.asarray(pair_dists, dtype=float)
+    if rows.shape != (n, 4):
+        raise ValueError(f"pair rows have shape {rows.shape}, not ({n}, 4)")
+    if not (np.isfinite(rows) & (rows >= 0.0)).all():
+        raise ValueError(
+            f"pair rows of shape {rows.shape} hold a negative or non-finite value"
+        )
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +214,7 @@ def _pair_constraints(n: int) -> np.ndarray:
     rows = [
         (values[:, i - 1] == a) & (values[:, j - 1] == b)
         for i, j in cycle_pair_keys(n)
-        for a, b in coarse_labels(2)
+        for a, b in _PAIR_LABELS
     ]
     a0 = np.vstack([np.array(rows, dtype=float), np.ones(2**n)])
     a0.setflags(write=False)
@@ -248,19 +232,15 @@ def lp_feasibility(
     while exact inputs are held to 1e-9. Inconsistencies between contexts
     (for example two pairs implying different singles) surface as
     infeasibility, never as an exception.
+
+    `pair_dists` is an (n, 4) array of coarse pair rows, in cycle order
+    (1, 2), ..., (n, 1) and columns (+,+), (+,-), (-,+), (-,-), or a mapping
+    from pair keys (i, j) or "i-j" to coarse pair distributions or mappings.
     """
+    if n < 3:
+        raise ValueError("cycle needs at least 3 observables")
     a0 = _pair_constraints(n)
-    rhs = []
-    for (i, j), dist in _resolve_pairs(pair_dists, n):
-        table = dist.as_dict()
-        for a, b in coarse_labels(2):
-            if (a, b) not in table:
-                raise ValueError(
-                    f"pair X{i}X{j} lacks coarse outcome {(a, b)}"
-                )
-            rhs.append(float(table[(a, b)]))
-    rhs.append(1.0)
-    b = np.array(rhs)
+    b = np.append(_pair_rows(pair_dists, n), 1.0)
     w, total = _simplex_min_violation(a0, b)
     residual = a0 @ w - b
     max_violation = float(np.abs(residual).max())
@@ -271,14 +251,3 @@ def lp_feasibility(
         norm = w.sum()
         witness = NCModel(w / norm) if norm > 0 else NCModel.uniform(n)
     return FeasibilityResult(feasible, witness, max_violation, total)
-
-
-def singles_from_pairs(pair_dists, n: int) -> dict[int, OutcomeDistribution]:
-    """First-slot marginal of pair (i, i+1) as the single for X_i.
-
-    Convention for pairs-only data: each observable's single distribution
-    is read off the adjacent pair in which it appears first.
-    """
-    return {
-        i: marginal(dist, 0) for (i, _), dist in _resolve_pairs(pair_dists, n)
-    }

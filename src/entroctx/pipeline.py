@@ -138,33 +138,32 @@ def _analyse(entries, n: int, convention: str, tolerance: float | None = None) -
     `entries` are (kind, key, ctx, rows) in cycle_contexts order, rows a
     (batch, K) array of probabilities over the context's fine records or
     coarse outcomes, as `convention` says. Returns the single and pair
-    entropy tables and M, each per row, and with a tolerance each row's
-    coarse pair distributions and the LP verdict on them.
+    entropy tables and M, each per row, and with a tolerance the coarse
+    pair rows, (batch, n, 4) in cycle order, and each row's LP verdict.
     """
     h: dict = {"single": {}, "pair": {}}
-    coarse = {}
+    coarse = []
     for kind, key, ctx, rows in entries:
         h[kind][key] = entropy_rows(rows)
         if kind == "pair" and tolerance is not None:
-            coarse[key] = rows @ binning_matrix(ctx) if convention == "fine" else rows
+            coarse.append(rows @ binning_matrix(ctx) if convention == "fine" else rows)
     m = evaluate_m_cycle(h["pair"], h["single"], n)
-    checked = []
-    for k in range(len(m) if tolerance is not None else 0):
-        pairs = {
-            key: OutcomeDistribution(_PAIR_LABELS, p[k]) for key, p in coarse.items()
-        }
-        checked.append((pairs, lp_feasibility(pairs, n, tolerance)))
-    return h["single"], h["pair"], m, checked
+    if tolerance is None:
+        return h["single"], h["pair"], m, None, []
+    stacked = np.stack(coarse, axis=1)
+    verdicts = [lp_feasibility(rows, n, tolerance) for rows in stacked]
+    return h["single"], h["pair"], m, stacked, verdicts
 
 
 def _analyse_run(entries, convention: str, n: int, tolerance: float) -> tuple:
     """One run's (kind, key, ctx, dist) entries through the stage: its
-    report, and its coarse pairs with the LP verdict on them."""
+    report, its (n, 4) coarse pair rows and the LP verdict on them."""
     rows = [(kind, key, ctx, dist.probs[None, :]) for kind, key, ctx, dist in entries]
-    singles, pairs, m, checked = _analyse(rows, n, convention, tolerance)
+    singles, pairs, m, stacked, verdicts = _analyse(rows, n, convention, tolerance)
     h_singles = {i: float(h[0]) for i, h in singles.items()}
     h_pairs = {key: float(h[0]) for key, h in pairs.items()}
-    return EntropyReport(h_singles, h_pairs, float(m[0]), convention, n), checked[0]
+    report = EntropyReport(h_singles, h_pairs, float(m[0]), convention, n)
+    return report, stacked[0], verdicts[0]
 
 
 def _counts_dist(record: CountsRecord, ctx, convention: str) -> OutcomeDistribution:
@@ -238,7 +237,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             (kind, key, ctx, _counts_dist(counts[key], ctx, config.convention))
             for kind, key, ctx, _ in entries
         ]
-    report, (coarse_pairs, feasibility) = _analyse_run(
+    report, pair_rows, feasibility = _analyse_run(
         entries, config.convention, n, lp_tolerance_for(n, config.shots)
     )
 
@@ -251,7 +250,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         feasibility=feasibility,
         single_dists=_dists(entries, "single"),
         pair_dists=_dists(entries, "pair"),
-        coarse_pairs=coarse_pairs,
+        coarse_pairs={
+            key: OutcomeDistribution(_PAIR_LABELS, row)
+            for key, row in zip(cycle_pair_keys(n), pair_rows)
+        },
         counts=counts if config.shots != EXACT else None,
         report_payload=payload,
     )
@@ -303,7 +305,7 @@ def ingest_counts(
         for texts, (kind, key, ctx) in expected.items()
     ]
     tolerance = lp_tolerance_for(n, min(record.shots for record in found.values()))
-    report, (_, feasibility) = _analyse_run(entries, convention, n, tolerance)
+    report, _, feasibility = _analyse_run(entries, convention, n, tolerance)
     return IngestResult(
         report, feasibility, _dists(entries, "single"), _dists(entries, "pair")
     )
@@ -414,13 +416,16 @@ def sweep(
     observables = resolve_observables(observable_set)
     n = len(observables)
     a, b = np.asarray(alphas, float), np.asarray(betas, float)
+    for name, axis in (("alpha", a), ("beta", b)):
+        if axis.size == 0:
+            raise ValueError(f"sweep {name} axis is empty; give at least one {name}")
     alpha, beta = np.repeat(a, b.size), np.tile(b, a.size)
     entries = _exact_entries(family_amplitudes(family, alpha, beta), observables)
     tolerance = lp_tolerance_for(n, EXACT)
-    _, _, m_coarse, checked = _analyse(entries["coarse"], n, "coarse", tolerance)
+    _, _, m_coarse, _, verdicts = _analyse(entries["coarse"], n, "coarse", tolerance)
     m_fine = _analyse(entries["fine"], n, "fine")[2]
     points = zip(alpha.tolist(), beta.tolist(), m_coarse.tolist(), m_fine.tolist())
-    rows = [(*point, lp.feasible) for point, (_, lp) in zip(points, checked)]
+    rows = [(*point, lp.feasible) for point, lp in zip(points, verdicts)]
     rows.sort(key=lambda r: (r[0], r[1]))
     if out:
         write_sweep_csv(out, rows)

@@ -143,6 +143,30 @@ def test_nc_check_infeasible_counts_exit_code(tmp_path, capsys):
     assert "noncontextual joint distribution: infeasible" in out
 
 
+def test_counts_without_preset_use_the_set_the_files_cover(tmp_path, capsys):
+    for preset in ("s1", "s2"):
+        run_cli(
+            "sample", "--preset", preset, "--convention", "coarse",
+            "--out", str(tmp_path / preset),
+        )
+    capsys.readouterr()
+    s2_paths = sorted(str(p) for p in (tmp_path / "s2").glob("*.json"))
+    for command in ("entropies", "inequality", "nc-check"):
+        inferred = run_cli(command, "--counts", *s2_paths), capsys.readouterr()
+        named = run_cli(command, "--preset", "s2", "--counts", *s2_paths)
+        assert inferred == (named, capsys.readouterr())
+        assert inferred[0] == 0
+    s1_paths = sorted(str(p) for p in (tmp_path / "s1").glob("*.json"))
+    for paths, which in ((s2_paths[1:], "no"), (s1_paths + s2_paths, "more than one")):
+        code = run_cli("inequality", "--counts", *paths)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: counts files cover the cycle contexts of {which} bundled "
+            "observable set (tried table1, table2); pass --preset or --config\n"
+        )
+
+
 def test_sweep_command(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     code = run_cli(
@@ -269,6 +293,17 @@ def test_sweep_degenerate_point_exits_with_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: family s1 parameters give the null vector")
     assert "at (alpha, beta) = (1.5707963267948966, 0.0)" in captured.err
+
+
+def test_sweep_empty_axis_exits_with_error(capsys):
+    for flag, axis in (("--alpha-steps", "alpha"), ("--beta-steps", "beta")):
+        code = run_cli("sweep", flag, "0")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sweep {axis} axis is empty; give at least one {axis}\n"
+        )
 
 
 def test_non_finite_state_parameters_exit_with_error(tmp_path, capsys):

@@ -9,12 +9,12 @@ from entroctx.contexts import (
     OutcomeDistribution,
     basis_change_gates,
     basis_change_unitary,
+    binning_matrix,
     coarse_labels,
     coarsen,
     export_measurement_circuit,
     joint_distribution_coarse,
     joint_distribution_fine,
-    record_eigenvalues,
     record_probabilities,
 )
 from entroctx.entropy import entropies_from_counts
@@ -33,6 +33,12 @@ from entroctx.statevec import (
     prepare_state,
     synthesize_prep_circuit,
 )
+
+
+def record_eigenvalues(ctx: MeasurementContext, label: str) -> tuple[int, ...]:
+    """The eigenvalue tuple a fine record implies, read off the binning matrix."""
+    row = binning_matrix(ctx)[int(label, 2)]
+    return coarse_labels(len(ctx.observables))[int(row.argmax())]
 
 
 def all_preset_contexts(name: str) -> list[MeasurementContext]:
@@ -350,11 +356,11 @@ def test_coarsen_counts_with_omitted_records(texts, counts):
 def test_record_eigenvalues_length_check():
     ctx = MeasurementContext((PauliString("ZZ"),))
     with pytest.raises(ValueError, match="record length"):
-        record_eigenvalues(ctx, "0")
+        coarsen(OutcomeDistribution(("0",), np.ones(1)), ctx)
     # labels int() would accept are still not records
     for label in ("-1", "+1", "0a", "1_"):
         with pytest.raises(ValueError, match="record length or bits"):
-            record_eigenvalues(ctx, label)
+            coarsen(OutcomeDistribution((label,), np.ones(1)), ctx)
 
 
 def test_export_x_basis_rotations():
@@ -430,7 +436,7 @@ def test_eigenvalue_map_rejects_a_non_diagonalizing_circuit(monkeypatch):
     contexts._kernel.cache_clear()
     try:
         with pytest.raises(ValueError, match="does not diagonalize XX"):
-            record_eigenvalues(MeasurementContext((PauliString("XX"),)), "00")
+            binning_matrix(MeasurementContext((PauliString("XX"),)))
     finally:
         contexts._kernel.cache_clear()
 

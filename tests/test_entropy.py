@@ -4,13 +4,11 @@ import pytest
 from entroctx.contexts import OutcomeDistribution
 from entroctx.entropy import (
     EntropyReport,
-    conditional_entropy,
     cycle_pair_keys,
     cycle_single_keys,
     entropies_from_counts,
     estimate_entropy,
     evaluate_m_cycle,
-    marginal,
     shannon_entropy,
 )
 from entroctx.refdata import REFERENCE_RUNS
@@ -37,40 +35,17 @@ def test_shannon_entropy_validation():
         shannon_entropy([1.5, -0.5])
 
 
-def test_conditional_entropy_examples():
-    independent = OutcomeDistribution(
-        ((0, 0), (0, 1), (1, 0), (1, 1)), np.full(4, 0.25)
-    )
-    assert conditional_entropy(independent) == pytest.approx(1.0, abs=1e-12)
-    correlated = OutcomeDistribution(((0, 0), (1, 1)), np.array([0.5, 0.5]))
-    assert conditional_entropy(correlated) == pytest.approx(0.0, abs=1e-12)
-    skewed = OutcomeDistribution(
-        ((+1, +1), (-1, -1)), np.array([0.2952, 0.7048])
-    )
-    assert conditional_entropy(skewed) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_conditional_entropy_rejects_unfactorable_labels():
-    bad = OutcomeDistribution((("x",), ("y",)), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="factor"):
-        conditional_entropy(bad)
-
-
-def test_marginal_slots():
-    joint = random_joint(2, 3)
-    left = marginal(joint, 0)
-    right = marginal(joint, 1)
-    assert left.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert len(right.labels) == 3
-
-
 def test_chain_rule_and_axioms_on_random_joints():
     for _ in range(300):
         joint = random_joint(2, 2)
+        p = joint.probs.reshape(2, 2)  # p[a, b]
         h_joint = shannon_entropy(joint)
-        h_a = shannon_entropy(marginal(joint, 0))
-        h_b = shannon_entropy(marginal(joint, 1))
-        h_a_given_b = conditional_entropy(joint)
+        h_a = shannon_entropy(p.sum(axis=1))
+        h_b = shannon_entropy(p.sum(axis=0))
+        # H(A|B) as the p(b)-weighted entropy of the conditional slices
+        h_a_given_b = sum(
+            p[:, b].sum() * shannon_entropy(p[:, b] / p[:, b].sum()) for b in range(2)
+        )
         assert h_joint == pytest.approx(h_a_given_b + h_b, abs=1e-12)
         assert h_joint <= h_a + h_b + 1e-12
         assert h_a <= h_joint + 1e-12

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,19 @@ from entroctx.contexts import (
     coarsen,
     joint_distribution_fine,
 )
-from entroctx.entropy import cycle_pair_keys, evaluate_m_cycle, shannon_entropy
+from entroctx.entropy import (
+    cycle_pair_keys,
+    cycle_single_keys,
+    evaluate_m_cycle,
+    shannon_entropy,
+)
 from entroctx.ncmodels import (
     MAX_OBSERVABLES,
-    DeterministicAssignment,
     NCModel,
-    enumerate_assignments,
     lp_feasibility,
     m_of_model,
     m_of_models_batch,
     model_marginals,
-    singles_from_pairs,
     value_matrix,
 )
 from entroctx.pipeline import (
@@ -34,32 +38,29 @@ from entroctx.statevec import prepare_state
 RNG = np.random.default_rng(20260825)
 
 
+def assignments(n):
+    """All +/-1 value tuples in canonical order: binary counting, +1 first."""
+    return list(itertools.product((1, -1), repeat=n))
+
+
 def test_enumeration_counts_and_order():
-    assert [a.values for a in enumerate_assignments(1)] == [(1,), (-1,)]
-    assert [a.values for a in enumerate_assignments(2)] == [
-        (1, 1), (1, -1), (-1, 1), (-1, -1)
-    ]
-    assert len(enumerate_assignments(5)) == 32
-
-
-def test_enumeration_guard():
-    with pytest.raises(ValueError, match="too large"):
-        enumerate_assignments(21)
-    with pytest.raises(ValueError):
-        enumerate_assignments(0)
+    assert value_matrix(1).tolist() == [[1], [-1]]
+    assert value_matrix(2).tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+    assert value_matrix(5).shape == (32, 5)
 
 
 def test_value_matrix_matches_enumeration():
     values = value_matrix(5)
-    listed = np.array([a.values for a in enumerate_assignments(5)])
+    listed = np.array(assignments(5))
     assert np.array_equal(values, listed)
 
 
 def test_assignment_validation():
-    with pytest.raises(ValueError):
-        DeterministicAssignment((1, 0, -1))
-    a = DeterministicAssignment((1, -1, 1))
-    assert a.value_of(2) == -1
+    for values in ((1, 0, -1), ()):
+        with pytest.raises(ValueError, match=r"assignment values must be \+1 or -1"):
+            NCModel.point(values)
+    # (+1, -1, +1) is binary 010 in the canonical order
+    assert np.array_equal(NCModel.point((1, -1, 1)).weights, np.eye(8)[2])
 
 
 def test_model_validation():
@@ -71,12 +72,12 @@ def test_model_validation():
 
 
 def test_point_model_marginals_deterministic():
-    assignment = enumerate_assignments(5)[7]
-    marg = model_marginals(NCModel.point(assignment))
+    values = assignments(5)[7]
+    marg = model_marginals(NCModel.point(values))
     for i, dist in marg.singles.items():
-        assert dist.as_dict()[(assignment.value_of(i),)] == pytest.approx(1.0)
+        assert dist.as_dict()[(values[i - 1],)] == pytest.approx(1.0)
     for (i, j), dist in marg.pairs.items():
-        key = (assignment.value_of(i), assignment.value_of(j))
+        key = (values[i - 1], values[j - 1])
         assert dist.as_dict()[key] == pytest.approx(1.0)
 
 
@@ -101,8 +102,8 @@ def test_ghz_style_mixture_marginals():
 
 
 def test_deterministic_assignments_give_exactly_zero():
-    for assignment in enumerate_assignments(5):
-        assert m_of_model(NCModel.point(assignment)) == 0.0
+    for values in assignments(5):
+        assert m_of_model(NCModel.point(values)) == 0.0
 
 
 def test_uniform_model_value():
@@ -202,14 +203,6 @@ def test_lp_verdict_independent_of_input_order():
     )
 
 
-def test_singles_from_pairs_uses_first_slot():
-    model = NCModel(RNG.dirichlet(np.ones(32)))
-    marg = model_marginals(model)
-    singles = singles_from_pairs(marg.pairs, 5)
-    for i, dist in singles.items():
-        assert np.allclose(dist.probs, marg.singles[i].probs, atol=1e-12)
-
-
 def test_positive_m_sets_are_infeasible():
     # deterministic chain pairs with a uniform wraparound pair: M = +2
     from entroctx.contexts import OutcomeDistribution
@@ -222,8 +215,10 @@ def test_positive_m_sets_are_infeasible():
     pairs = {key: point for key in cycle_pair_keys(5)}
     pairs[(5, 1)] = uniform
     h_pairs = {k: shannon_entropy(d) for k, d in pairs.items()}
+    # each single read off the pair in which it comes first
     h_singles = {
-        i: shannon_entropy(d) for i, d in singles_from_pairs(pairs, 5).items()
+        i: shannon_entropy(pairs[(i, i + 1)].probs.reshape(2, 2).sum(axis=1))
+        for i in cycle_single_keys(5)
     }
     m = evaluate_m_cycle(h_pairs, h_singles, 5)
     assert m == pytest.approx(2.0, abs=1e-12)
@@ -237,6 +232,36 @@ def test_lp_size_limit_checked_before_building(monkeypatch):
     monkeypatch.setattr(ncmodels, "value_matrix", fail)
     with pytest.raises(ValueError, match="too large"):
         lp_feasibility({}, MAX_OBSERVABLES + 1)
+
+
+def test_lp_rejects_cycles_shorter_than_three():
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="cycle needs at least 3 observables"):
+            lp_feasibility({}, n)
+    with pytest.raises(ValueError, match="cycle needs at least 3 observables"):
+        lp_feasibility(np.full((2, 4), 0.25), 2)
+
+
+def test_lp_rejects_pair_rows_of_the_wrong_shape():
+    for shape in ((5, 3), (4, 4), (6, 4), (20,), (1, 5, 4)):
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+            lp_feasibility(np.full(shape, 0.25), 5)
+
+
+def test_lp_rejects_non_finite_pair_rows():
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.full((5, 4), 0.25)
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match=r"shape \(5, 4\) hold .*non-finite"):
+            lp_feasibility(rows, 5)
+
+
+def test_lp_rejects_negative_pair_rows():
+    # the simplex starts from the basis u = b, which needs b >= 0
+    rows = np.full((5, 4), 0.25)
+    rows[0] = [-0.1, 0.6, 0.25, 0.25]
+    with pytest.raises(ValueError, match=r"shape \(5, 4\) hold a negative"):
+        lp_feasibility(rows, 5)
 
 
 def reference_simplex_min_violation(a0, b):
@@ -338,6 +363,18 @@ def crushed_preset_pairs(family, rng):
     return np.concatenate(probs)
 
 
+def disagreeing_pairs(n, rng):
+    """Model marginals with mass moved inside one pair, so that its second
+    single disagrees with the one the next pair implies."""
+    p = pair_indicators(n) @ rng.dirichlet(np.ones(2**n))
+    r = 4 * int(rng.integers(n))
+    src = r + (1 if p[r + 1] >= p[r + 3] else 3)
+    delta = 0.5 * p[src]
+    p[src] -= delta
+    p[src - 1] += delta
+    return p
+
+
 def pivot_instances(n, rng):
     """Marginal vectors from each oracle construction plus tie-heavy cases."""
     ind = pair_indicators(n)
@@ -347,14 +384,7 @@ def pivot_instances(n, rng):
         for family in ("s1", "s2"):
             yield "crushed", crushed_preset_pairs(family, rng)
     yield "odd_cycle", odd_cycle_pairs(n, rng, rng.uniform(0.8, 1.0))
-    # move mass inside one pair so its second single disagrees with the next
-    p = ind @ rng.dirichlet(np.ones(2**n))
-    r = 4 * int(rng.integers(n))
-    src = r + (1 if p[r + 1] >= p[r + 3] else 3)
-    delta = 0.5 * p[src]
-    p[src] -= delta
-    p[src - 1] += delta
-    yield "disagree", p
+    yield "disagree", disagreeing_pairs(n, rng)
     yield "point", ind[:, int(rng.integers(2**n))]
     yield "uniform", ind @ NCModel.uniform(n).weights
     yield "odd_cycle_c1", odd_cycle_pairs(n, rng, 1.0)
@@ -414,3 +444,52 @@ def test_lp_agrees_with_closed_form_cycle_facets():
             assert feasible == (facet <= n - 2), (n, k, facet)
             verdicts.add(feasible)
         assert verdicts == {True, False}, n
+
+
+def assert_input_forms_agree(rows, n, tolerance, mapping=None):
+    """lp_feasibility on (n, 4) rows and on the same rows keyed by pair."""
+    if mapping is None:
+        mapping = {
+            key: OutcomeDistribution(coarse_labels(2), row)
+            for key, row in zip(cycle_pair_keys(n), rows)
+        }
+    by_rows = lp_feasibility(rows, n, tolerance)
+    by_mapping = lp_feasibility(mapping, n, tolerance)
+    assert by_rows.feasible == by_mapping.feasible
+    assert by_rows.total_violation == by_mapping.total_violation
+    assert by_rows.max_constraint_violation == by_mapping.max_constraint_violation
+    if by_rows.witness is None:
+        assert by_mapping.witness is None
+    else:
+        assert np.array_equal(by_rows.witness.weights, by_mapping.witness.weights)
+    return by_rows
+
+
+def test_lp_array_and_mapping_forms_agree_bit_for_bit():
+    keys5 = cycle_pair_keys(5)
+    for family, convention, shots in itertools.product(
+        ("s1", "s2"), ("coarse", "fine"), ("exact", 8192)
+    ):
+        run = run_experiment(preset_config(family, convention=convention, shots=shots))
+        rows = np.array([run.coarse_pairs[key].probs for key in keys5])
+        result = assert_input_forms_agree(
+            rows, 5, lp_tolerance_for(5, shots), run.coarse_pairs
+        )
+        assert result.total_violation == run.feasibility.total_violation
+    rng = np.random.default_rng(20260827)
+    verdicts = set()
+    for n in range(3, 10):
+        pairs = model_marginals(NCModel(rng.dirichlet(np.ones(2**n)))).pairs
+        rows = np.array([pairs[key].probs for key in cycle_pair_keys(n)])
+        assert_input_forms_agree(rows, n, 1e-9, pairs)
+        plain = {f"{i}-{j}": d.as_dict() for (i, j), d in pairs.items()}
+        assert_input_forms_agree(rows, n, 1e-9, plain)
+        for p in (
+            disagreeing_pairs(n, rng),
+            odd_cycle_pairs(n, rng, rng.uniform(0.8, 1.0)),
+        ):
+            verdicts.add(assert_input_forms_agree(p.reshape(n, 4), n, 1e-9).feasible)
+    for family in ("s1", "s2"):
+        p = crushed_preset_pairs(family, rng)
+        verdicts.add(assert_input_forms_agree(p.reshape(5, 4), 5, 1e-9).feasible)
+    assert verdicts == {False}

@@ -341,6 +341,12 @@ def test_sweep_rejects_degenerate_points():
     assert len(sweep("s1", [0.0, np.pi / 3], [0.0], "table1")) == 2
 
 
+def test_sweep_rejects_an_empty_axis():
+    for alphas, betas, axis in (([], [0.1], "alpha"), ([0.1], [], "beta")):
+        with pytest.raises(ValueError, match=f"sweep {axis} axis is empty"):
+            sweep("s1", alphas, betas, "table1")
+
+
 def test_non_finite_state_parameters_are_rejected():
     # nan fails every comparison, so such states once passed the norm checks
     # and surfaced as an unbounded LP
