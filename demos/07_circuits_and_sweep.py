@@ -29,16 +29,17 @@ from entroctx import (
 # per-qubit rotations; the ZZ,XX pair conflicts on both qubits and gets a
 # CNOT and an H, after which the first record bit reads ZZ and the second
 # reads XX.
-out_dir = Path(tempfile.mkdtemp())
-written = export_qasm_suite(preset_config("s1"), out_dir / "s1")
-print(f"s1 preset: {len(written)} circuits written")
-print("\n" + (out_dir / "s1" / "pair_x1x2_ZZ_XX.qasm").read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    out_dir = Path(tmp)
+    written = export_qasm_suite(preset_config("s1"), out_dir / "s1")
+    print(f"s1 preset: {len(written)} circuits written")
+    print("\n" + (out_dir / "s1" / "pair_x1x2_ZZ_XX.qasm").read_text())
 
-# Every table2 pair conflicts on both qubits, so each pair circuit is
-# entangling; the same routine writes all five next to the three singles.
-written = export_qasm_suite(preset_config("s2"), out_dir / "s2")
-print(f"s2 preset: {len(written)} circuits written")
-print("\n" + (out_dir / "s2" / "pair_x1x2_ZZ_YX.qasm").read_text())
+    # Every table2 pair conflicts on both qubits, so each pair circuit is
+    # entangling; the same routine writes all five next to the three singles.
+    written = export_qasm_suite(preset_config("s2"), out_dir / "s2")
+    print(f"s2 preset: {len(written)} circuits written")
+    print("\n" + (out_dir / "s2" / "pair_x1x2_ZZ_YX.qasm").read_text())
 
 # Sweep the s1 family over both angles.  The ideal coarse M never turns
 # positive anywhere on the grid, and the LP stays feasible.

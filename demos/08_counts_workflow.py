@@ -24,19 +24,19 @@ from entroctx import (
 
 # write_sampled_counts produces one file per context; each records the
 # context observables, the shot count, and the label -> count table.
-out_dir = Path(tempfile.mkdtemp()) / "counts"
 config = replace(preset_config("s1"), shots=8192, seed=42)
-paths = write_sampled_counts(config, out_dir)
-print(f"{len(paths)} counts files written to {out_dir}")
-example = json.loads(paths[0].read_text())
-print(f"example ({paths[0].name}): context = {example['context']}, "
-      f"shots = {example['shots']}")
-print(f"  counts = {example['counts']}")
+with tempfile.TemporaryDirectory() as tmp:
+    paths = write_sampled_counts(config, Path(tmp) / "counts")
+    print(f"{len(paths)} counts files written to a temporary counts/ directory")
+    example = json.loads(paths[0].read_text())
+    print(f"example ({paths[0].name}): context = {example['context']}, "
+          f"shots = {example['shots']}")
+    print(f"  counts = {example['counts']}")
 
-# Ingestion only needs the files and the observable-set name: contexts
-# are matched by their recorded observables, the convention is inferred
-# from the labels, and missing files are reported by context.
-result = ingest_counts_files([str(p) for p in paths], "table1")
+    # Ingestion only needs the files and the observable-set name: contexts
+    # are matched by their recorded observables, the convention is inferred
+    # from the labels, and missing files are reported by context.
+    result = ingest_counts_files([str(p) for p in paths], "table1")
 report = result.report
 print(f"\ningested M = {report.m_value:+.6f} [{report.convention} convention]")
 

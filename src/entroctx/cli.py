@@ -57,14 +57,9 @@ def _effective_config(args) -> ExperimentConfig:
         config = load_config(args.config)
     else:
         config = preset_config(args.preset or "s1")
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    if getattr(args, "shots", None) is not None:
-        config = replace(config, shots=args.shots)
-    if getattr(args, "convention", None) is not None:
-        config = replace(config, convention=args.convention)
-    if getattr(args, "out", None):
-        config = replace(config, outputs=args.out)
+    for name in ("seed", "shots", "convention"):
+        if getattr(args, name) is not None:
+            config = replace(config, **{name: getattr(args, name)})
     return config
 
 
@@ -89,12 +84,17 @@ def _print_report(report, feasibility=None) -> None:
         print(f"flag: {flag}")
 
 
+def _write_report(path, result) -> None:
+    write_report(path, result.report, result.feasibility.feasible)
+    print(f"report written to {path}")
+
+
 def _cmd_simulate(args) -> int:
     config = _effective_config(args)
     result = run_experiment(config)
     _print_report(result.report, result.feasibility)
-    if config.outputs:
-        print(f"report written to {config.outputs}")
+    if args.out or config.outputs:
+        _write_report(args.out or config.outputs, result)
     return 0
 
 
@@ -129,9 +129,7 @@ def _cmd_entropies(args) -> int:
     result = _result_for_input(args)
     _print_report(result.report)
     if args.out:
-        if args.counts:
-            write_report(args.out, result.report, result.feasibility.feasible)
-        print(f"report written to {args.out}")
+        _write_report(args.out, result)
     return 0
 
 
@@ -183,7 +181,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fit_noise(args) -> int:
     config = _effective_config(args)
     target = read_entropies_file(args.target)
-    exact = run_experiment(replace(config, shots=EXACT, noise=None, outputs=None))
+    exact = run_experiment(replace(config, shots=EXACT, noise=None))
     n = exact.report.n_observables
     if target.n_observables != n:
         raise ValueError(f"target has {target.n_observables} observables, the run {n}")

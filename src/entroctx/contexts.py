@@ -75,6 +75,15 @@ def coarse_labels(n_observables: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(_SIGNS, repeat=n_observables))
 
 
+def outcome_labels(context: MeasurementContext, convention: str) -> tuple:
+    """Outcome order of every probability row of the context: the kernel's
+    n-bit records, most significant qubit first, in the fine convention,
+    and eigenvalue tuples, +1 first, in the coarse one."""
+    if convention == "fine":
+        return _kernel(context.observables)[1]
+    return coarse_labels(len(context.observables))
+
+
 def joint_distribution_coarse(
     state: QuantumState, context: MeasurementContext
 ) -> OutcomeDistribution:
@@ -137,7 +146,7 @@ def joint_distribution_fine(
     the exported circuit of the context reads out.
     """
     probs = record_probabilities(state.amplitudes[None, :], context)
-    return OutcomeDistribution(_kernel(context.observables)[1], probs[0])
+    return OutcomeDistribution(outcome_labels(context, "fine"), probs[0])
 
 
 def record_probabilities(amps: np.ndarray, context: MeasurementContext) -> np.ndarray:
@@ -191,7 +200,7 @@ def coarsen(
     omit zero-count records."""
     rows = [_record_index(context, label) for label in fine.labels]
     binned = fine.probs @ binning_matrix(context)[rows]
-    return OutcomeDistribution(coarse_labels(len(context.observables)), binned)
+    return OutcomeDistribution(outcome_labels(context, "coarse"), binned)
 
 
 def _qasm_gate(gate: GateOp, n: int) -> str:

@@ -47,11 +47,11 @@ def shannon_entropy(dist) -> float:
 
 
 def _pair_key(key) -> PairKey:
-    if isinstance(key, str):
-        i, j = key.split("-")
+    try:
+        i, j = key.split("-") if isinstance(key, str) else key
         return int(i), int(j)
-    i, j = key
-    return int(i), int(j)
+    except (TypeError, ValueError):
+        raise ValueError(f'bad pair key {key!r}; use (i, j) or "i-j"') from None
 
 
 def cycle_pair_keys(n: int) -> tuple[PairKey, ...]:

@@ -20,10 +20,8 @@ from .contexts import (
     MeasurementContext,
     OutcomeDistribution,
     binning_matrix,
-    coarse_labels,
     export_measurement_circuit,
-    joint_distribution_coarse,
-    joint_distribution_fine,
+    outcome_labels,
     record_probabilities,
 )
 from .entropy import (
@@ -36,7 +34,7 @@ from .entropy import (
 from .ncmodels import FeasibilityResult, lp_feasibility
 from .pauli import OBSERVABLE_SETS, PauliString, as_pauli, verify_cycle
 from .refdata import REFERENCE_RUNS
-from .reports import read_counts, write_counts, write_report, write_sweep_csv
+from .reports import read_counts, write_counts, write_sweep_csv
 from .sampling import CountsRecord, NoiseModel, apply_noise, sample_counts
 from .statevec import (
     PRESET_S1,
@@ -52,7 +50,6 @@ EXACT = "exact"
 IDEAL_CLASSIFICATION = (
     "no ideal violation; measured positivity consistent with noise/convention"
 )
-_PAIR_LABELS = coarse_labels(2)
 
 
 @dataclass(frozen=True)
@@ -169,9 +166,7 @@ def _analyse_run(entries, convention: str, n: int, tolerance: float) -> tuple:
 def _counts_dist(record: CountsRecord, ctx, convention: str) -> OutcomeDistribution:
     """count / shots over every outcome of the context in the convention, zero
     where a label is absent; a label that is not one of them is rejected."""
-    n = ctx.n_qubits
-    fine = tuple(format(b, f"0{n}b") for b in range(2**n))
-    labels = fine if convention == "fine" else coarse_labels(len(ctx.observables))
+    labels = outcome_labels(ctx, convention)
     counts = np.zeros(len(labels))
     for label, count in record.counts.items():
         if label not in labels:
@@ -199,18 +194,17 @@ class RunResult:
     pair_dists: dict[tuple[int, int], OutcomeDistribution]
     coarse_pairs: dict[tuple[int, int], OutcomeDistribution]
     counts: dict[object, CountsRecord] | None
-    report_payload: dict | None
 
 
 def _noisy_entries(config: ExperimentConfig, observables):
-    """Exact (kind, key, ctx, dist) in cycle_contexts order with the config's
-    noise applied, and for sampled runs each context's counts, drawn with
-    seed + its position in that order."""
-    state = prepare_state(config.state)
-    joint = {"coarse": joint_distribution_coarse, "fine": joint_distribution_fine}
+    """Exact (kind, key, ctx, dist) in cycle_contexts order, the one-state case
+    of the sweep kernel, with the config's noise applied, and for sampled
+    runs each context's counts, drawn with seed + its position in that order."""
+    amplitudes = prepare_state(config.state).amplitudes[None, :]
     entries = []
-    for kind, key, ctx in cycle_contexts(observables, config.convention):
-        dist = joint[config.convention](state, ctx)
+    exact = _exact_entries(amplitudes, observables)[config.convention]
+    for kind, key, ctx, rows in exact:
+        dist = OutcomeDistribution(outcome_labels(ctx, config.convention), rows[0])
         if config.noise is not None and not config.noise.is_trivial:
             dist = apply_noise(dist, config.noise)
         entries.append((kind, key, ctx, dist))
@@ -227,7 +221,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     Exact runs are deterministic and ignore the seed; sampled runs draw
     each context with seed + context-position so contexts are independent
-    but reproducible.
+    but reproducible. Nothing is written: `outputs` is the CLI's report path.
     """
     observables = resolve_observables(config.observable_set)
     n = len(observables)
@@ -240,10 +234,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     report, pair_rows, feasibility = _analyse_run(
         entries, config.convention, n, lp_tolerance_for(n, config.shots)
     )
-
-    payload = None
-    if config.outputs:
-        payload = write_report(config.outputs, report, feasibility.feasible)
     return RunResult(
         config=config,
         report=report,
@@ -251,11 +241,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         single_dists=_dists(entries, "single"),
         pair_dists=_dists(entries, "pair"),
         coarse_pairs={
-            key: OutcomeDistribution(_PAIR_LABELS, row)
-            for key, row in zip(cycle_pair_keys(n), pair_rows)
+            key: OutcomeDistribution(outcome_labels(ctx, "coarse"), row)
+            for (_, key, ctx, _), row in zip(entries[n - 2 :], pair_rows)
         },
         counts=counts if config.shots != EXACT else None,
-        report_payload=payload,
     )
 
 
@@ -546,7 +535,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         shots = int(shots)
     outputs = data.get("outputs")
     if isinstance(outputs, dict):
+        _reject_unknown("outputs", outputs, ("report",))
         outputs = outputs.get("report")
+    if not isinstance(outputs, (str, type(None))):
+        raise ValueError(f"outputs must be a report path, not {outputs!r}")
     return ExperimentConfig(
         observable_set=observable_set,
         state=state,

@@ -347,3 +347,69 @@ def test_malformed_entropy_files_exit_with_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "'h_pairs'" in captured.err
+
+
+def test_out_writes_a_report_for_simulate_and_entropies_only(
+    tmp_path, capsys, monkeypatch
+):
+    # one helper writes every report: simulate and entropies write theirs,
+    # inequality and nc-check write nothing, on the run and counts routes
+    monkeypatch.chdir(tmp_path)
+    run_cli("sample", "--preset", "s1", "--out", "counts")
+    counts = sorted(str(p) for p in Path("counts").glob("*.json"))
+    capsys.readouterr()
+    for route, extra in (("run", ()), ("counts", ("--counts", *counts))):
+        for command in ("inequality", "nc-check"):
+            code = run_cli(command, "--preset", "s1", *extra, "--out", "none.json")
+            assert code == 0
+            assert "written" not in capsys.readouterr().out
+            assert not Path("none.json").exists()
+        commands = ("simulate", "entropies") if route == "run" else ("entropies",)
+        for command in commands:
+            path = f"{command}_{route}.json"
+            code = run_cli(command, "--preset", "s1", *extra, "--out", path)
+            out = capsys.readouterr().out
+            assert code == 0
+            assert out.endswith(f"report written to {path}\n")
+            report, feasible = read_report(path)
+            assert f"M = {report.m_value:+.11f}" in out
+            assert feasible is True
+
+
+def test_config_outputs_is_the_simulate_report_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = config_to_dict(preset_config("s2"))
+    Path("s2.json").write_text(json.dumps({**data, "outputs": "configured.json"}))
+    for command in ("entropies", "inequality", "nc-check"):
+        assert run_cli(command, "--config", "s2.json") == 0
+    assert "written" not in capsys.readouterr().out
+    assert not Path("configured.json").exists()
+    assert run_cli("simulate", "--config", "s2.json") == 0
+    assert capsys.readouterr().out.endswith("report written to configured.json\n")
+    assert read_report("configured.json")[0].convention == "fine"
+    # --out overrides the configured path
+    assert run_cli("simulate", "--config", "s2.json", "--out", "given.json") == 0
+    assert capsys.readouterr().out.endswith("report written to given.json\n")
+    assert Path("given.json").read_text() == Path("configured.json").read_text()
+
+
+def test_malformed_outputs_exits_with_error(tmp_path, capsys):
+    config_file = tmp_path / "bad.json"
+    config_file.write_text(json.dumps({"outputs": 5}))
+    code = run_cli("simulate", "--config", str(config_file))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: outputs must be a report path, not 5\n"
+
+
+def test_malformed_pair_key_exits_with_error(tmp_path, capsys):
+    pairs = {"1-2": 1.0, "2-3": 1.0, "3-4": 1.0, "4-5": 1.0, "51": 1.0}
+    body = {"entropies": {"h_singles": {"2": 1.0, "3": 1.0, "4": 1.0}, "h_pairs": pairs}}
+    literal = tmp_path / "literal.json"
+    literal.write_text(json.dumps(body))
+    code = run_cli("inequality", "--entropies", str(literal))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: bad pair key '51'; use (i, j) or \"i-j\"\n"

@@ -91,6 +91,17 @@ def test_evaluate_m_missing_entry_named():
         evaluate_m_cycle(dict(run.h_pairs), singles, 5)
 
 
+@pytest.mark.parametrize(
+    "bad", ("12", "1-2-3", "a-b", 12), ids=("no-dash", "three-parts", "letters", "int")
+)
+def test_evaluate_m_names_a_malformed_pair_key(bad):
+    pairs = {bad: 1.0, **{k: 1.0 for k in cycle_pair_keys(5)}}
+    message = f'bad pair key {bad!r}; use (i, j) or "i-j"'
+    with pytest.raises(ValueError) as caught:
+        evaluate_m_cycle(pairs, {2: 1.0, 3: 1.0, 4: 1.0}, 5)
+    assert str(caught.value) == message
+
+
 def test_evaluate_m_rejects_non_finite():
     pairs = {k: 1.0 for k in cycle_pair_keys(5)}
     singles = {2: 1.0, 3: float("nan"), 4: 1.0}

@@ -183,6 +183,17 @@ def test_lp_accepts_string_keys():
     assert lp_feasibility(pairs, 5).feasible
 
 
+@pytest.mark.parametrize(
+    "bad", ("12", "1-2-3", "a-b", 12), ids=("no-dash", "three-parts", "letters", "int")
+)
+def test_lp_names_a_malformed_pair_key(bad):
+    pairs = dict(model_marginals(NCModel.uniform(5)).pairs)
+    pairs[bad] = pairs[(1, 2)]
+    with pytest.raises(ValueError) as caught:
+        lp_feasibility(pairs, 5)
+    assert str(caught.value) == f'bad pair key {bad!r}; use (i, j) or "i-j"'
+
+
 def test_lp_accepts_plain_mappings():
     marg = model_marginals(NCModel.uniform(5))
     pairs = {key: dict(d.as_dict()) for key, d in marg.pairs.items()}

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entroctx import pipeline
+from entroctx import contexts, pipeline
 from entroctx.contexts import OutcomeDistribution, coarsen, joint_distribution_fine
 from entroctx.pipeline import (
     EXACT,
@@ -29,7 +29,13 @@ from entroctx.pipeline import (
     write_sampled_counts,
 )
 from entroctx.refdata import REFERENCE_RUNS
-from entroctx.reports import counts_from_dict, read_counts, read_report, report_to_dict
+from entroctx.reports import (
+    counts_from_dict,
+    read_counts,
+    read_report,
+    report_to_dict,
+    write_report,
+)
 from entroctx.sampling import NoiseModel, sample_counts
 from entroctx.statevec import (
     PRESET_S1,
@@ -121,13 +127,54 @@ def test_fine_three_qubit_cycle_reads_records_without_fallback():
 
 def test_report_file_round_trip_bit_for_bit(tmp_path):
     path = tmp_path / "report.json"
-    config = preset_config("s1", outputs=str(path))
-    result = run_experiment(config)
+    result = run_experiment(preset_config("s1"))
+    payload = write_report(path, result.report, result.feasibility.feasible)
     report, feasible = read_report(path)
     rewritten = report_to_dict(report, feasible)
-    assert rewritten == result.report_payload
-    assert report.m_value == result.report_payload["m_value"]
+    assert rewritten == payload
+    assert report.m_value == payload["m_value"]
     assert feasible is True
+
+
+def test_run_experiment_writes_no_file(tmp_path, monkeypatch):
+    # `outputs` is the CLI's report path; the run itself does no I/O
+    monkeypatch.chdir(tmp_path)
+    for shots in (EXACT, 8192):
+        config = preset_config("s1", shots=shots, outputs="report.json")
+        run_experiment(config)
+        run_experiment(replace(config, outputs=str(tmp_path / "abs.json")))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_routes_never_call_the_per_context_helpers(tmp_path, monkeypatch):
+    # every route reads the one kernel; the per-context helpers are
+    # references for tests and demos only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a route called a per-context helper")
+
+    for module in (contexts, pipeline):
+        for name in ("joint_distribution_fine", "joint_distribution_coarse", "coarsen"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for preset in ("s1", "s2"):
+        for convention in ("coarse", "fine"):
+            flip = ((0.97, 0.03), (0.04, 0.96)) if convention == "fine" else None
+            for shots in (EXACT, 8192):
+                for noise in (None, NoiseModel(0.05, flip)):
+                    config = preset_config(
+                        preset, convention=convention, shots=shots, noise=noise
+                    )
+                    run_experiment(config)
+            config = preset_config(
+                preset, convention=convention, shots=8192, noise=NoiseModel(0.05, flip)
+            )
+            paths = write_sampled_counts(config, tmp_path / f"{preset}_{convention}")
+            ingest_counts_files(paths, config.observable_set)
+        state = prepare_state(preset_config(preset).state)
+        observables = resolve_observables(preset_config(preset).observable_set)
+        for convention in ("coarse", "fine"):
+            exact_m(state, observables, convention)
+        sweep(preset, [0.1, 0.2], [0.3, 0.4], preset_config(preset).observable_set)
+    reproduce_reference()
 
 
 def test_report_payload_m_matches_snapped_entries():
@@ -602,3 +649,22 @@ def test_config_rejects_unknown_keys():
     )
     assert explicit.state.family == "explicit"
     assert explicit.outputs == "r.json"
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        ({"reprot": "r.json"}, "unknown outputs key(s) 'reprot'; accepted: report"),
+        (
+            {"report": "r.json", "counts": "d"},
+            "unknown outputs key(s) 'counts'; accepted: report",
+        ),
+        (5, "outputs must be a report path, not 5"),
+        ({"report": ["r.json"]}, "outputs must be a report path, not ['r.json']"),
+    ],
+    ids=("misspelt-key", "extra-key", "number", "report-list"),
+)
+def test_config_rejects_malformed_outputs(outputs, message):
+    with pytest.raises(ValueError) as caught:
+        config_from_dict({"outputs": outputs})
+    assert str(caught.value) == message
