@@ -27,29 +27,42 @@ from .pipeline import (
     sweep_summary,
     write_sampled_counts,
 )
-from .reports import read_counts, read_entropies_file, write_report
+from .reports import read_counts, read_entropies_file, write_report, write_sweep_csv
 from .sampling import fit_depolarizing
 
 
 def _shots_value(text: str):
-    if text == EXACT:
-        return EXACT
-    return int(text)
+    return EXACT if text == EXACT else int(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON run configuration")
-    parser.add_argument(
-        "--preset", choices=["s1", "s2"], help="built-in run configuration"
-    )
-    parser.add_argument("--seed", type=int, help="sampling seed override")
-    parser.add_argument(
-        "--shots", type=_shots_value, help='shot count or "exact"'
-    )
-    parser.add_argument(
-        "--convention", choices=["coarse", "fine"], help="outcome convention"
-    )
-    parser.add_argument("--out", help="output path")
+_FLAGS = {
+    "config": dict(help="JSON run configuration"),
+    "preset": dict(choices=["s1", "s2"], help="built-in run configuration"),
+    "seed": dict(type=int, help="sampling seed override"),
+    "shots": dict(type=_shots_value, help='shot count or "exact"'),
+    "convention": dict(choices=["coarse", "fine"], help="outcome convention"),
+    "out": dict(help="output path"),
+    "counts": dict(nargs="+", help="counts JSON files (one per context)"),
+    "entropies": dict(help="report or literal-entropies JSON file"),
+    "target": dict(required=True, help="report or literal-entropies JSON file"),
+}
+_RUN = ("config", "preset", "seed", "shots", "convention")
+_EXCLUSIVE = ({"config", "preset"}, {"counts", "entropies"})
+
+
+def _add_flags(parser, names, **changed) -> None:
+    """Add the named _FLAGS; an _EXCLUSIVE pair's two flags share one group."""
+    groups = [(pair, parser.add_mutually_exclusive_group())
+              for pair in _EXCLUSIVE if pair <= set(names)]
+    for name in names:
+        where = next((g for pair, g in groups if name in pair), parser)
+        where.add_argument(f"--{name}", **{**_FLAGS[name], **changed.get(name, {})})
+
+
+def _refuse(args, source: str, names) -> None:
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{source} cannot be combined with {', '.join(given)}")
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -58,9 +71,14 @@ def _effective_config(args) -> ExperimentConfig:
     else:
         config = preset_config(args.preset or "s1")
     for name in ("seed", "shots", "convention"):
-        if getattr(args, name) is not None:
+        if getattr(args, name, None) is not None:
             config = replace(config, **{name: getattr(args, name)})
     return config
+
+
+def _noise_floor(value: float) -> float:
+    """LP residuals below 1e-12 are float noise and print as 0."""
+    return 0.0 if abs(value) < 1e-12 else value
 
 
 def _print_report(report, feasibility=None) -> None:
@@ -78,7 +96,8 @@ def _print_report(report, feasibility=None) -> None:
         verdict = "feasible" if feasibility.feasible else "infeasible"
         print(
             f"joint-distribution LP: {verdict} "
-            f"(max marginal violation {feasibility.max_constraint_violation:.3e})"
+            f"(max marginal violation "
+            f"{_noise_floor(feasibility.max_constraint_violation):.3e})"
         )
     for flag in report.flags:
         print(f"flag: {flag}")
@@ -116,13 +135,14 @@ def _covered_set(records) -> str:
 
 
 def _result_for_input(args):
+    if not args.counts:
+        return run_experiment(_effective_config(args))
+    _refuse(args, "--counts", ("seed", "shots", "convention"))
     config = _effective_config(args)
-    if getattr(args, "counts", None):
-        records = [read_counts(path) for path in args.counts]
-        named = args.preset or args.config
-        observable_set = config.observable_set if named else _covered_set(records)
-        return ingest_counts(records, observable_set)
-    return run_experiment(config)
+    records = [read_counts(path) for path in args.counts]
+    named = args.preset or args.config
+    observable_set = config.observable_set if named else _covered_set(records)
+    return ingest_counts(records, observable_set)
 
 
 def _cmd_entropies(args) -> int:
@@ -135,6 +155,7 @@ def _cmd_entropies(args) -> int:
 
 def _cmd_inequality(args) -> int:
     if args.entropies:
+        _refuse(args, "--entropies", _RUN)
         _print_report(read_entropies_file(args.entropies))
         return 0
     result = _result_for_input(args)
@@ -147,8 +168,8 @@ def _cmd_nc_check(args) -> int:
     feas = result.feasibility
     verdict = "feasible" if feas.feasible else "infeasible"
     print(f"noncontextual joint distribution: {verdict}")
-    print(f"max marginal violation: {feas.max_constraint_violation:.6e}")
-    print(f"total violation (LP optimum): {feas.total_violation:.6e}")
+    print(f"max marginal violation: {_noise_floor(feas.max_constraint_violation):.6e}")
+    print(f"total violation (LP optimum): {_noise_floor(feas.total_violation):.6e}")
     return 0 if feas.feasible else 3
 
 
@@ -156,8 +177,7 @@ def _cmd_sample(args) -> int:
     config = _effective_config(args)
     if config.shots == EXACT:
         config = replace(config, shots=8192)
-    paths = write_sampled_counts(config, args.out or "counts")
-    for path in paths:
+    for path in write_sampled_counts(config, args.out or "counts"):
         print(path)
     return 0
 
@@ -165,7 +185,9 @@ def _cmd_sample(args) -> int:
 def _cmd_sweep(args) -> int:
     alphas = np.linspace(args.alpha_start, args.alpha_stop, args.alpha_steps)
     betas = np.linspace(args.beta_start, args.beta_stop, args.beta_steps)
-    rows = sweep(args.family, alphas, betas, args.set, out=args.out)
+    rows = sweep(args.family, alphas, betas, args.set)
+    if args.out:
+        write_sweep_csv(args.out, rows)
     summary = sweep_summary(rows)
     for convention in ("coarse", "fine"):
         best = summary[f"max_m_{convention}"]
@@ -201,8 +223,7 @@ def _cmd_fit_noise(args) -> int:
 
 
 def _cmd_export_qasm(args) -> int:
-    config = _effective_config(args)
-    for path in export_qasm_suite(config, args.out or "qasm"):
+    for path in export_qasm_suite(_effective_config(args), args.out or "qasm"):
         print(path)
     return 0
 
@@ -226,31 +247,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="full pipeline for one configuration")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    for name, func, flags, text in (
+        ("simulate", _cmd_simulate, (*_RUN, "out"),
+         "full pipeline for one configuration"),
+        ("entropies", _cmd_entropies, (*_RUN, "out", "counts"),
+         "entropy table from a run or counts files"),
+        ("inequality", _cmd_inequality, (*_RUN, "counts", "entropies"),
+         "evaluate the witness M"),
+        ("nc-check", _cmd_nc_check, (*_RUN, "counts"),
+         "LP feasibility of a noncontextual joint"),
+        ("sample", _cmd_sample, (*_RUN, "out"), "draw per-context counts files"),
+        ("sweep", _cmd_sweep, (), "exact M over a state-parameter grid"),
+        ("fit-noise", _cmd_fit_noise, ("config", "preset", "convention", "target"),
+         "fit a depolarizing weight to entropies"),
+        ("export-qasm", _cmd_export_qasm, ("config", "preset", "out"),
+         "OpenQASM circuit per context"),
+        ("reproduce-paper", _cmd_reproduce, ("out",),
+         "reconcile bundled measured entropies with exact simulation"),
+    ):
+        p = sub.add_parser(name, help=text)
+        shots = {"type": int, "help": "shot count"} if name == "sample" else {}
+        _add_flags(p, flags, shots=shots)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("entropies", help="entropy table from a run or counts files")
-    _add_common(p)
-    p.add_argument("--counts", nargs="+", help="counts JSON files (one per context)")
-    p.set_defaults(func=_cmd_entropies)
-
-    p = sub.add_parser("inequality", help="evaluate the witness M")
-    _add_common(p)
-    p.add_argument("--counts", nargs="+", help="counts JSON files")
-    p.add_argument("--entropies", help="report or literal-entropies JSON file")
-    p.set_defaults(func=_cmd_inequality)
-
-    p = sub.add_parser("nc-check", help="LP feasibility of a noncontextual joint")
-    _add_common(p)
-    p.add_argument("--counts", nargs="+", help="counts JSON files")
-    p.set_defaults(func=_cmd_nc_check)
-
-    p = sub.add_parser("sample", help="draw per-context counts files")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("sweep", help="exact M over a state-parameter grid")
+    p = sub.choices["sweep"]
     p.add_argument("--family", choices=["s1", "s2"], default="s1")
     p.add_argument("--set", default="table1", help="observable set name")
     p.add_argument("--alpha-start", type=float, default=0.0)
@@ -260,25 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-stop", type=float, default=float(np.pi))
     p.add_argument("--beta-steps", type=int, default=16)
     p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("fit-noise", help="fit a depolarizing weight to entropies")
-    _add_common(p)
-    p.add_argument(
-        "--target", required=True, help="report or literal-entropies JSON file"
-    )
-    p.set_defaults(func=_cmd_fit_noise)
-
-    p = sub.add_parser("export-qasm", help="OpenQASM circuit per context")
-    _add_common(p)
-    p.set_defaults(func=_cmd_export_qasm)
-
-    p = sub.add_parser(
-        "reproduce-paper",
-        help="reconcile bundled measured entropies with exact simulation",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_reproduce)
 
     return parser
 

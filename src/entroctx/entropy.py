@@ -11,6 +11,7 @@ joint distribution; a positive value rules such a model out.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -46,10 +47,18 @@ def shannon_entropy(dist) -> float:
     return float(entropy_rows(_prob_vector(dist)))
 
 
+def _single_key(key) -> int:
+    """An int, numpy integer or integer string; a float is refused, not cut."""
+    try:
+        return int(key) if isinstance(key, str) else operator.index(key)
+    except (TypeError, ValueError):
+        raise ValueError(f'bad single key {key!r}; use i or "i"') from None
+
+
 def _pair_key(key) -> PairKey:
     try:
         i, j = key.split("-") if isinstance(key, str) else key
-        return int(i), int(j)
+        return _single_key(i), _single_key(j)
     except (TypeError, ValueError):
         raise ValueError(f'bad pair key {key!r}; use (i, j) or "i-j"') from None
 
@@ -85,7 +94,7 @@ def evaluate_m_cycle(h_pairs: Mapping, h_singles: Mapping, n: int) -> float:
     if n < 3:
         raise ValueError("cycle needs at least 3 observables")
     pair_index = _rekey(h_pairs, _pair_key)
-    single_index = _rekey(h_singles, int)
+    single_index = _rekey(h_singles, _single_key)
     pairs = {
         key: _lookup(pair_index, key, f"pair X{key[0]}X{key[1]}")
         for key in cycle_pair_keys(n)
@@ -111,7 +120,7 @@ class EntropyReport:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        singles = {k: float(v) for k, v in _rekey(self.h_singles, int).items()}
+        singles = {k: float(v) for k, v in _rekey(self.h_singles, _single_key).items()}
         pairs = {k: float(v) for k, v in _rekey(self.h_pairs, _pair_key).items()}
         object.__setattr__(self, "h_singles", singles)
         object.__setattr__(self, "h_pairs", pairs)

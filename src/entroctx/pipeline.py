@@ -34,7 +34,7 @@ from .entropy import (
 from .ncmodels import FeasibilityResult, lp_feasibility
 from .pauli import OBSERVABLE_SETS, PauliString, as_pauli, verify_cycle
 from .refdata import REFERENCE_RUNS
-from .reports import read_counts, write_counts, write_sweep_csv
+from .reports import read_counts, write_counts
 from .sampling import CountsRecord, NoiseModel, apply_noise, sample_counts
 from .statevec import (
     PRESET_S1,
@@ -397,7 +397,6 @@ def sweep(
     alphas,
     betas,
     observable_set: str | tuple[str, ...] = "table1",
-    out: str | None = None,
 ) -> list[tuple]:
     """Exact M over a state-parameter grid, from one batched kernel pass per
     context; the coarse analysis also solves one LP per point. Rows (alpha,
@@ -416,8 +415,6 @@ def sweep(
     points = zip(alpha.tolist(), beta.tolist(), m_coarse.tolist(), m_fine.tolist())
     rows = [(*point, lp.feasible) for point, lp in zip(points, verdicts)]
     rows.sort(key=lambda r: (r[0], r[1]))
-    if out:
-        write_sweep_csv(out, rows)
     return rows
 
 

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from entroctx.cli import main
+import pytest
+
+from entroctx.cli import build_parser, main
 from entroctx.pipeline import config_to_dict, preset_config
 from entroctx.reports import read_entropies_file, read_report
 
@@ -353,16 +355,19 @@ def test_out_writes_a_report_for_simulate_and_entropies_only(
     tmp_path, capsys, monkeypatch
 ):
     # one helper writes every report: simulate and entropies write theirs,
-    # inequality and nc-check write nothing, on the run and counts routes
+    # inequality and nc-check take no --out, on the run and counts routes
     monkeypatch.chdir(tmp_path)
     run_cli("sample", "--preset", "s1", "--out", "counts")
     counts = sorted(str(p) for p in Path("counts").glob("*.json"))
     capsys.readouterr()
     for route, extra in (("run", ()), ("counts", ("--counts", *counts))):
         for command in ("inequality", "nc-check"):
-            code = run_cli(command, "--preset", "s1", *extra, "--out", "none.json")
-            assert code == 0
-            assert "written" not in capsys.readouterr().out
+            with pytest.raises(SystemExit) as exited:
+                run_cli(command, "--preset", "s1", *extra, "--out", "none.json")
+            assert exited.value.code == 2
+            captured = capsys.readouterr()
+            assert "written" not in captured.out
+            assert "unrecognized arguments: --out none.json" in captured.err
             assert not Path("none.json").exists()
         commands = ("simulate", "entropies") if route == "run" else ("entropies",)
         for command in commands:
@@ -413,3 +418,124 @@ def test_malformed_pair_key_exits_with_error(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: bad pair key '51'; use (i, j) or \"i-j\"\n"
+
+
+RUN = {"config", "preset", "seed", "shots", "convention"}
+FLAGS = {
+    "simulate": RUN | {"out"},
+    "sample": RUN | {"out"},
+    "entropies": RUN | {"out", "counts"},
+    "inequality": RUN | {"counts", "entropies"},
+    "nc-check": RUN | {"counts"},
+    "fit-noise": {"config", "preset", "convention", "target"},
+    "export-qasm": {"config", "preset", "out"},
+    "reproduce-paper": {"out"},
+    "sweep": {
+        "family", "set", "alpha_start", "alpha_stop", "alpha_steps",
+        "beta_start", "beta_stop", "beta_steps", "out",
+    },
+}
+FORMER_COMMON = {
+    "config": "x.json", "preset": "s1", "seed": "1", "shots": "1",
+    "convention": "fine", "out": "x",
+}
+
+
+def required_flags(command):
+    return ("--target", "t.json") if command == "fit-noise" else ()
+
+
+def settable(parser, command):
+    args = parser.parse_args([command, *required_flags(command)])
+    return set(vars(args)) - {"command", "func"}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(command, capsys):
+    required = required_flags(command)
+    assert settable(build_parser(), command) == FLAGS[command]
+    for flag in sorted(set(FORMER_COMMON) - FLAGS[command]):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(command, *required, f"--{flag}", FORMER_COMMON[flag])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_the_parser_has_49_settable_values():
+    parser = build_parser()
+    assert sum(len(settable(parser, command)) for command in FLAGS) == 49
+
+
+@pytest.mark.parametrize(
+    "command", sorted(c for c in FLAGS if {"config", "preset"} <= FLAGS[c])
+)
+def test_config_and_preset_exclude_each_other(command, capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli(command, *required_flags(command), "--config", "x", "--preset", "s2")
+    assert exited.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_counts_and_entropies_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli("inequality", "--counts", "c.json", "--entropies", "e.json")
+    assert exited.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("entropies", "inequality", "nc-check"))
+def test_counts_refuse_the_run_flags(command, tmp_path, capsys):
+    run_cli("sample", "--preset", "s1", "--out", str(tmp_path))
+    counts = sorted(str(p) for p in tmp_path.glob("*.json"))
+    capsys.readouterr()
+    for extra, named in (
+        (("--seed", "3"), "--seed"),
+        (("--shots", "100"), "--shots"),
+        (("--convention", "coarse"), "--convention"),
+        (("--convention", "coarse", "--seed", "3"), "--seed, --convention"),
+    ):
+        code = run_cli(command, "--counts", *counts, *extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --counts cannot be combined with {named}\n"
+
+
+def test_entropies_file_refuses_the_run_flags(tmp_path, capsys):
+    report_file = tmp_path / "report.json"
+    run_cli("simulate", "--preset", "s1", "--out", str(report_file))
+    capsys.readouterr()
+    for flag, value in (
+        ("--config", "x.json"), ("--preset", "s1"), ("--seed", "3"),
+        ("--shots", "100"), ("--convention", "coarse"),
+    ):
+        code = run_cli("inequality", "--entropies", str(report_file), flag, value)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --entropies cannot be combined with {flag}\n"
+
+
+def test_sample_shots_is_an_integer(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli("sample", "--shots", "exact", "--out", str(tmp_path / "none"))
+    assert exited.value.code == 2
+    assert "argument --shots: invalid int value: 'exact'" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
+    # a preset without an integer shot count still draws 8192 shots
+    assert run_cli("sample", "--preset", "s2", "--out", str(tmp_path / "c")) == 0
+    files = sorted((tmp_path / "c").glob("*.json"))
+    assert len(files) == 8
+    assert {json.loads(p.read_text())["shots"] for p in files} == {8192}
+
+
+def test_exact_lp_residuals_below_1e_12_print_as_zero(capsys):
+    assert run_cli("nc-check", "--preset", "s1") == 0
+    assert capsys.readouterr().out == (
+        "noncontextual joint distribution: feasible\n"
+        "max marginal violation: 0.000000e+00\n"
+        "total violation (LP optimum): 0.000000e+00\n"
+    )
+    assert run_cli("simulate", "--preset", "s1") == 0
+    out = capsys.readouterr().out
+    assert "joint-distribution LP: feasible (max marginal violation 0.000e+00)\n" in out

@@ -102,6 +102,46 @@ def test_evaluate_m_names_a_malformed_pair_key(bad):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "kind, bad, message",
+    (
+        ("pair", (1.7, 2), 'bad pair key (1.7, 2); use (i, j) or "i-j"'),
+        ("pair", (1, 2.0), 'bad pair key (1, 2.0); use (i, j) or "i-j"'),
+        ("single", 2.9, 'bad single key 2.9; use i or "i"'),
+        ("single", "2.9", "bad single key '2.9'; use i or \"i\""),
+    ),
+    ids=("float-pair", "float-in-pair", "float-single", "float-string-single"),
+)
+def test_non_integer_keys_are_refused_not_truncated(kind, bad, message):
+    # (1.7, 2) and 2.9 used to be read as (1, 2) and 2, giving the same M
+    run = REFERENCE_RUNS["s2"]
+    pairs, singles = dict(run.h_pairs), dict(run.h_singles)
+    if kind == "pair":
+        pairs[bad] = pairs.pop((1, 2))
+    else:
+        singles[bad] = singles.pop(2)
+    for build in (
+        lambda: evaluate_m_cycle(pairs, singles, 5),
+        lambda: EntropyReport.from_entropies(singles, pairs, "coarse"),
+        lambda: EntropyReport(singles, pairs, 0.0, "coarse"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_numpy_integer_keys_give_the_same_m():
+    run = REFERENCE_RUNS["s2"]
+    pairs = {(np.int64(i), np.int32(j)): v for (i, j), v in run.h_pairs.items()}
+    singles = {np.int64(k): v for k, v in run.h_singles.items()}
+    m = evaluate_m_cycle(dict(run.h_pairs), dict(run.h_singles), 5)
+    assert evaluate_m_cycle(pairs, singles, 5) == m
+    report = EntropyReport.from_entropies(singles, pairs, "coarse")
+    assert report.m_value == m
+    assert set(report.h_pairs) == set(cycle_pair_keys(5))
+    assert all(type(k) is int for k in report.h_singles)
+
+
 def test_evaluate_m_rejects_non_finite():
     pairs = {k: 1.0 for k in cycle_pair_keys(5)}
     singles = {2: 1.0, 3: float("nan"), 4: 1.0}

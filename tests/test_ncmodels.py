@@ -194,6 +194,16 @@ def test_lp_names_a_malformed_pair_key(bad):
     assert str(caught.value) == f'bad pair key {bad!r}; use (i, j) or "i-j"'
 
 
+@pytest.mark.parametrize("bad", ((1.7, 2), (1, 2.0)), ids=("float", "float-second"))
+def test_lp_refuses_a_non_integer_pair_key(bad):
+    # the pair keyed (1.7, 2) used to be read as pair (1, 2)
+    pairs = dict(model_marginals(NCModel.uniform(5)).pairs)
+    pairs[bad] = pairs.pop((1, 2))
+    with pytest.raises(ValueError) as caught:
+        lp_feasibility(pairs, 5)
+    assert str(caught.value) == f'bad pair key {bad!r}; use (i, j) or "i-j"'
+
+
 def test_lp_accepts_plain_mappings():
     marg = model_marginals(NCModel.uniform(5))
     pairs = {key: dict(d.as_dict()) for key, d in marg.pairs.items()}

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from dataclasses import replace
@@ -33,8 +34,10 @@ from entroctx.reports import (
     counts_from_dict,
     read_counts,
     read_report,
+    read_sweep_csv,
     report_to_dict,
     write_report,
+    write_sweep_csv,
 )
 from entroctx.sampling import NoiseModel, sample_counts
 from entroctx.statevec import (
@@ -143,6 +146,15 @@ def test_run_experiment_writes_no_file(tmp_path, monkeypatch):
         config = preset_config("s1", shots=shots, outputs="report.json")
         run_experiment(config)
         run_experiment(replace(config, outputs=str(tmp_path / "abs.json")))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_writes_no_file(tmp_path, monkeypatch):
+    # the CLI writes the sweep CSV; sweep itself takes no path and returns rows
+    monkeypatch.chdir(tmp_path)
+    parameters = list(inspect.signature(sweep).parameters)
+    assert parameters == ["family", "alphas", "betas", "observable_set"]
+    assert len(sweep("s1", [0.5, 1.0], [0.5], "table1")) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -326,14 +338,13 @@ def test_reproduce_reference_solves_no_lp(monkeypatch):
 
 
 def test_sweep_single_point_matches_run(tmp_path):
-    rows = sweep("s1", [2.9306], [2.9306], "table1", out=str(tmp_path / "s.csv"))
+    rows = sweep("s1", [2.9306], [2.9306], "table1")
+    write_sweep_csv(tmp_path / "s.csv", rows)
     assert len(rows) == 1
     alpha, beta, m_coarse, m_fine, feasible = rows[0]
     assert m_coarse == pytest.approx(S1_COARSE_M, abs=1e-12)
     assert m_fine == pytest.approx(S1_FINE_M, abs=1e-12)
     assert feasible
-    from entroctx.reports import read_sweep_csv
-
     parsed = read_sweep_csv(tmp_path / "s.csv")
     assert parsed[0][2] == pytest.approx(m_coarse, abs=0)
 
