@@ -33,7 +33,7 @@ entries = [
 # One context up close: the X1X2 pair.  Counts are seeded and therefore
 # exactly reproducible.
 dist = next(d for kind, key, d in entries if key == (1, 2))
-counts = sample_counts(dist, 8192, seed=11, context_label="X1X2")
+counts = sample_counts(dist, 8192, seed=11)
 print("X1X2 counts at 8192 shots:", dict(sorted(counts.counts.items())))
 print(f"exact H = {shannon_entropy(dist):.6f}")
 print(f"plug-in estimate      = {estimate_entropy(counts):.6f}")

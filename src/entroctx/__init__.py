@@ -47,7 +47,6 @@ from .pipeline import (
     EXACT,
     IDEAL_CLASSIFICATION,
     ExperimentConfig,
-    IngestResult,
     RunResult,
     config_from_dict,
     config_to_dict,

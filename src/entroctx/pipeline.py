@@ -152,17 +152,6 @@ def _analyse(entries, n: int, convention: str, tolerance: float | None = None) -
     return h["single"], h["pair"], m, stacked, verdicts
 
 
-def _analyse_run(entries, convention: str, n: int, tolerance: float) -> tuple:
-    """One run's (kind, key, ctx, dist) entries through the stage: its
-    report, its (n, 4) coarse pair rows and the LP verdict on them."""
-    rows = [(kind, key, ctx, dist.probs[None, :]) for kind, key, ctx, dist in entries]
-    singles, pairs, m, stacked, verdicts = _analyse(rows, n, convention, tolerance)
-    h_singles = {i: float(h[0]) for i, h in singles.items()}
-    h_pairs = {key: float(h[0]) for key, h in pairs.items()}
-    report = EntropyReport(h_singles, h_pairs, float(m[0]), convention, n)
-    return report, stacked[0], verdicts[0]
-
-
 def _counts_dist(record: CountsRecord, ctx, convention: str) -> OutcomeDistribution:
     """count / shots over every outcome of the context in the convention, zero
     where a label is absent; a label that is not one of them is rejected."""
@@ -187,13 +176,49 @@ def lp_tolerance_for(n: int, shots: int | str) -> float:
 
 @dataclass(frozen=True)
 class RunResult:
-    config: ExperimentConfig
     report: EntropyReport
     feasibility: FeasibilityResult
     single_dists: dict[int, OutcomeDistribution]
     pair_dists: dict[tuple[int, int], OutcomeDistribution]
     coarse_pairs: dict[tuple[int, int], OutcomeDistribution]
     counts: dict[object, CountsRecord] | None
+
+
+def _result(entries, convention: str, n: int, tolerance: float, counts=None) -> RunResult:
+    """One run's (kind, key, ctx, dist) entries through the stage: its report,
+    its coarse pair distributions and the LP verdict on them."""
+    rows = [(kind, key, ctx, dist.probs[None, :]) for kind, key, ctx, dist in entries]
+    singles, pairs, m, stacked, verdicts = _analyse(rows, n, convention, tolerance)
+    h_singles = {i: float(h[0]) for i, h in singles.items()}
+    h_pairs = {key: float(h[0]) for key, h in pairs.items()}
+    return RunResult(
+        report=EntropyReport(h_singles, h_pairs, float(m[0]), convention, n),
+        feasibility=verdicts[0],
+        single_dists=_dists(entries, "single"),
+        pair_dists=_dists(entries, "pair"),
+        coarse_pairs={
+            key: OutcomeDistribution(outcome_labels(ctx, "coarse"), row)
+            for (_, key, ctx, _), row in zip(entries[n - 2 :], stacked[0])
+        },
+        counts=counts,
+    )
+
+
+def _counted(contexts, counts_by_key: dict, n: int) -> RunResult:
+    """The one counts -> result step, for (kind, key, ctx) in cycle_contexts
+    order and a CountsRecord per key. The label style of the counts decides
+    the convention: bit-strings are fine records, +/- strings are coarse
+    outcomes. The fewest shots set the LP tolerance."""
+    fine = {all(isinstance(lb, str) for lb in r.counts) for r in counts_by_key.values()}
+    if len(fine) != 1:
+        raise ValueError("mixed label conventions across counts records")
+    convention = "fine" if fine.pop() else "coarse"
+    entries = [
+        (kind, key, ctx, _counts_dist(counts_by_key[key], ctx, convention))
+        for kind, key, ctx in contexts
+    ]
+    tolerance = lp_tolerance_for(n, min(r.shots for r in counts_by_key.values()))
+    return _result(entries, convention, n, tolerance, counts_by_key)
 
 
 def _noisy_entries(config: ExperimentConfig, observables):
@@ -205,14 +230,14 @@ def _noisy_entries(config: ExperimentConfig, observables):
     exact = _exact_entries(amplitudes, observables)[config.convention]
     for kind, key, ctx, rows in exact:
         dist = OutcomeDistribution(outcome_labels(ctx, config.convention), rows[0])
-        if config.noise is not None and not config.noise.is_trivial:
+        if config.noise is not None:
             dist = apply_noise(dist, config.noise)
         entries.append((kind, key, ctx, dist))
     counts: dict[object, CountsRecord] = {}
     if config.shots != EXACT:
         for position, (_, key, ctx, dist) in enumerate(entries):
             seed = config.seed + position
-            counts[key] = sample_counts(dist, int(config.shots), seed, ctx.label_text())
+            counts[key] = sample_counts(dist, config.shots, seed)
     return entries, counts
 
 
@@ -227,39 +252,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     n = len(observables)
     entries, counts = _noisy_entries(config, observables)
     if config.shots != EXACT:
-        entries = [
-            (kind, key, ctx, _counts_dist(counts[key], ctx, config.convention))
-            for kind, key, ctx, _ in entries
-        ]
-    report, pair_rows, feasibility = _analyse_run(
-        entries, config.convention, n, lp_tolerance_for(n, config.shots)
-    )
-    return RunResult(
-        config=config,
-        report=report,
-        feasibility=feasibility,
-        single_dists=_dists(entries, "single"),
-        pair_dists=_dists(entries, "pair"),
-        coarse_pairs={
-            key: OutcomeDistribution(outcome_labels(ctx, "coarse"), row)
-            for (_, key, ctx, _), row in zip(entries[n - 2 :], pair_rows)
-        },
-        counts=counts if config.shots != EXACT else None,
-    )
-
-
-@dataclass(frozen=True)
-class IngestResult:
-    report: EntropyReport
-    feasibility: FeasibilityResult
-    single_dists: dict[int, OutcomeDistribution]
-    pair_dists: dict[tuple[int, int], OutcomeDistribution]
+        return _counted([entry[:3] for entry in entries], counts, n)
+    return _result(entries, config.convention, n, lp_tolerance_for(n, EXACT))
 
 
 def ingest_counts(
     records: list[tuple[tuple[str, ...], CountsRecord]],
     observable_set: str | tuple[str, ...],
-) -> IngestResult:
+) -> RunResult:
     """Counts for every required context -> entropies, M, LP verdict.
 
     `records` pairs each counts table with the observable texts of its
@@ -285,22 +285,11 @@ def ingest_counts(
         names = ", ".join("(" + ",".join(t) + ")" for t in missing)
         raise ValueError(f"missing counts for context {names}")
 
-    fine = {all(isinstance(lb, str) for lb in r.counts) for r in found.values()}
-    if len(fine) != 1:
-        raise ValueError("mixed label conventions across counts records")
-    convention = "fine" if fine.pop() else "coarse"
-    entries = [
-        (kind, key, ctx, _counts_dist(found[texts], ctx, convention))
-        for texts, (kind, key, ctx) in expected.items()
-    ]
-    tolerance = lp_tolerance_for(n, min(record.shots for record in found.values()))
-    report, _, feasibility = _analyse_run(entries, convention, n, tolerance)
-    return IngestResult(
-        report, feasibility, _dists(entries, "single"), _dists(entries, "pair")
-    )
+    counts = {key: found[texts] for texts, (_, key, _) in expected.items()}
+    return _counted(list(expected.values()), counts, n)
 
 
-def ingest_counts_files(paths, observable_set) -> IngestResult:
+def ingest_counts_files(paths, observable_set) -> RunResult:
     return ingest_counts([read_counts(p) for p in paths], observable_set)
 
 

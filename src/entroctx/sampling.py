@@ -22,7 +22,6 @@ _IDENTITY_FLIP = ((1.0, 0.0), (0.0, 1.0))
 class CountsRecord:
     """Integer shot counts per outcome label for one context."""
 
-    context_label: str
     shots: int
     counts: dict
 
@@ -60,16 +59,8 @@ class NoiseModel:
                 self, "readout_flip", tuple(tuple(row) for row in flip)
             )
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.depolarizing_epsilon == 0.0 and (
-            self.readout_flip is None or self.readout_flip == _IDENTITY_FLIP
-        )
 
-
-def sample_counts(
-    dist: OutcomeDistribution, shots: int, seed: int, context_label: str = ""
-) -> CountsRecord:
+def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsRecord:
     """Multinomial draw; identical (dist, shots, seed) gives identical counts."""
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -77,7 +68,7 @@ def sample_counts(
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, probs)
     counts = {label: int(k) for label, k in zip(dist.labels, drawn)}
-    return CountsRecord(context_label, shots, counts)
+    return CountsRecord(shots, counts)
 
 
 def _apply_readout(dist: OutcomeDistribution, flip: np.ndarray) -> OutcomeDistribution:

@@ -228,6 +228,48 @@ def test_counts_files_round_trip(tmp_path):
             assert lp.max_constraint_violation == direct_lp.max_constraint_violation
 
 
+def _assert_same_result(a, b):
+    """Two RunResults equal field by field, distributions bit for bit."""
+    assert a.report == b.report
+    assert (a.feasibility.feasible, a.feasibility.total_violation) == (
+        b.feasibility.feasible,
+        b.feasibility.total_violation,
+    )
+    assert a.feasibility.max_constraint_violation == b.feasibility.max_constraint_violation
+    for name in ("single_dists", "pair_dists", "coarse_pairs"):
+        mine, theirs = getattr(a, name), getattr(b, name)
+        assert list(mine) == list(theirs), name
+        for key, dist in mine.items():
+            assert dist.labels == theirs[key].labels, (name, key)
+            assert dist.probs.tobytes() == theirs[key].probs.tobytes(), (name, key)
+    assert a.counts == b.counts
+
+
+@pytest.mark.parametrize("preset", ["s1", "s2"])
+@pytest.mark.parametrize("convention", ["coarse", "fine"])
+def test_ingesting_a_runs_counts_files_gives_the_run(tmp_path, preset, convention):
+    # one counts -> result step: the ingest of a sampled run's own files is
+    # that run, every field, the counts keyed by context key included
+    flip = ((0.97, 0.03), (0.04, 0.96)) if convention == "fine" else None
+    config = preset_config(
+        preset, convention=convention, shots=8192, seed=5, noise=NoiseModel(0.05, flip)
+    )
+    paths = write_sampled_counts(config, tmp_path)
+    ingested = ingest_counts_files(paths, config.observable_set)
+    _assert_same_result(ingested, run_experiment(config))
+    assert list(ingested.counts) == [key for _, key, _ in cycle_contexts(
+        resolve_observables(config.observable_set)
+    )]
+
+
+@pytest.mark.parametrize("shots", [EXACT, 8192])
+@pytest.mark.parametrize("convention", ["coarse", "fine"])
+def test_a_noise_model_without_noise_leaves_the_run_as_it_is(shots, convention):
+    config = preset_config("s2", convention=convention, shots=shots)
+    for noise in (NoiseModel(), NoiseModel(0.0, ((1.0, 0.0), (0.0, 1.0)))):
+        _assert_same_result(run_experiment(replace(config, noise=noise)), run_experiment(config))
+
+
 @pytest.mark.parametrize("preset", ["s1", "s2"])
 @pytest.mark.parametrize("convention", ["coarse", "fine"])
 def test_write_sampled_counts_solves_no_lp_and_writes_no_report(
@@ -280,7 +322,7 @@ def test_ingest_synthetic_rounded_counts():
         counts = {lb: round(8192 * p) for lb, p in dist.as_dict().items()}
         shots = sum(counts.values())
         texts = tuple(str(o) for o in ctx.observables)
-        records.append((texts, CountsRecord(",".join(texts), shots, counts)))
+        records.append((texts, CountsRecord(shots, counts)))
     result = ingest_counts(records, "table1")
     assert result.report.m_value == pytest.approx(S1_FINE_M, abs=0.01)
 
@@ -293,7 +335,7 @@ def test_ingest_point_mass_counts_gives_zero():
     for kind, key, ctx in cycle_contexts(observables, "fine"):
         texts = tuple(str(o) for o in ctx.observables)
         counts = {"00": 8192, "01": 0, "10": 0, "11": 0}
-        records.append((texts, CountsRecord(",".join(texts), 8192, counts)))
+        records.append((texts, CountsRecord(8192, counts)))
     result = ingest_counts(records, "table1")
     assert result.report.m_value == 0.0
 
@@ -531,7 +573,7 @@ def test_exported_circuit_readout_matches_fine_records(tmp_path, name):
         assert list(readout) == list(fine.labels)
         assert np.abs(np.array(list(readout.values())) - fine.probs).max() <= 1e-12
         drawn = OutcomeDistribution(fine.labels, np.array(list(readout.values())))
-        record = sample_counts(drawn, 8192, config.seed + position, ctx.label_text())
+        record = sample_counts(drawn, 8192, config.seed + position)
         records.append((texts, record))
     ingested = ingest_counts(records, config.observable_set)
     for kind, key, ctx in cycle_contexts(resolve_observables(config.observable_set)):
@@ -609,9 +651,9 @@ def test_ingest_rejects_duplicate_context_records():
         dist = joint_distribution_fine(state, ctx)
         counts = {lb: round(8192 * p) for lb, p in dist.as_dict().items()}
         texts = tuple(str(o) for o in ctx.observables)
-        records.append((texts, CountsRecord(",".join(texts), sum(counts.values()), counts)))
+        records.append((texts, CountsRecord(sum(counts.values()), counts)))
     texts = records[3][0]
-    point_mass = CountsRecord(",".join(texts), 100, {"00": 100})
+    point_mass = CountsRecord(100, {"00": 100})
     with pytest.raises(ValueError, match=r"duplicate counts for context \(ZZ,XX\)"):
         ingest_counts(records + [(texts, point_mass)], "table1")
     # records for contexts outside the cycle stay ignored, repeated or not
