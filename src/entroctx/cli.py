@@ -183,6 +183,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for axis, steps in (("alpha", args.alpha_steps), ("beta", args.beta_steps)):
+        if steps < 0:
+            raise ValueError(f"--{axis}-steps must be an integer >= 0, not {steps}")
     alphas = np.linspace(args.alpha_start, args.alpha_stop, args.alpha_steps)
     betas = np.linspace(args.beta_start, args.beta_stop, args.beta_steps)
     rows = sweep(args.family, alphas, betas, args.set)

@@ -72,10 +72,13 @@ def cycle_single_keys(n: int) -> tuple[int, ...]:
 
 
 def _rekey(table: Mapping, normalize) -> dict:
-    """Re-key a table by normalized key; of two keys for one entry the first wins."""
-    index: dict = {}
+    """Re-key a table by normalized key; two keys for one entry are refused."""
+    index, named = {}, {}
     for raw, value in table.items():
-        index.setdefault(normalize(raw), value)
+        key = normalize(raw)
+        if key in index:
+            raise ValueError(f"keys {named[key]!r} and {raw!r} name one entry")
+        index[key], named[key] = value, raw
     return index
 
 

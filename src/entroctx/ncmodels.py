@@ -179,13 +179,13 @@ def _simplex_min_violation(a0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
 
 def _pair_rows(pair_dists, n: int) -> np.ndarray:
     """The (n, 4) array lp_feasibility reads, from either of its input forms;
-    of two mapping keys for one pair the first wins."""
+    two mapping keys for one pair are refused."""
     if isinstance(pair_dists, Mapping):
-        first, listed = _rekey(pair_dists, _pair_key), []
+        keyed, listed = _rekey(pair_dists, _pair_key), []
         for i, j in cycle_pair_keys(n):
-            if (i, j) not in first:
+            if (i, j) not in keyed:
                 raise ValueError(f"missing pair distribution for X{i}X{j}")
-            dist = first[(i, j)]
+            dist = keyed[(i, j)]
             if not isinstance(dist, OutcomeDistribution):
                 probs = np.array([float(p) for p in dist.values()])
                 dist = OutcomeDistribution(tuple(dist), probs)

@@ -35,7 +35,7 @@ from .ncmodels import FeasibilityResult, lp_feasibility
 from .pauli import OBSERVABLE_SETS, PauliString, as_pauli, verify_cycle
 from .refdata import REFERENCE_RUNS
 from .reports import read_counts, write_counts
-from .sampling import CountsRecord, NoiseModel, apply_noise, sample_counts
+from .sampling import CountsRecord, NoiseModel, _integer, apply_noise, sample_counts
 from .statevec import (
     PRESET_S1,
     PRESET_S2,
@@ -65,10 +65,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.convention not in ("coarse", "fine"):
             raise ValueError(f"unknown convention {self.convention!r}")
-        if self.shots != EXACT and (
-            not isinstance(self.shots, int) or self.shots < 1
-        ):
-            raise ValueError('shots must be a positive integer or "exact"')
+        if self.shots != EXACT:
+            shots = _integer('shots other than "exact"', self.shots, 1)
+            object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
@@ -516,9 +516,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     observable_set = data.get("observable_set", "table1")
     if not isinstance(observable_set, str):
         observable_set = tuple(observable_set)
-    shots = data.get("shots", EXACT)
-    if shots != EXACT:
-        shots = int(shots)
     outputs = data.get("outputs")
     if isinstance(outputs, dict):
         _reject_unknown("outputs", outputs, ("report",))
@@ -529,8 +526,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         observable_set=observable_set,
         state=state,
         convention=data.get("convention", "fine"),
-        shots=shots,
-        seed=int(data.get("seed", 2026)),
+        shots=data.get("shots", EXACT),
+        seed=data.get("seed", 2026),
         noise=noise,
         outputs=outputs,
     )

@@ -91,8 +91,8 @@ def counts_to_dict(observable_texts, record: CountsRecord) -> dict:
 
 def counts_from_dict(data: dict) -> tuple[tuple[str, ...], CountsRecord]:
     texts = tuple(data["context"])
-    counts = {_text_to_label(k): int(v) for k, v in data["counts"].items()}
-    record = CountsRecord(int(data["shots"]), counts)
+    counts = {_text_to_label(k): v for k, v in data["counts"].items()}
+    record = CountsRecord(data["shots"], counts)
     return texts, record
 
 

@@ -9,6 +9,7 @@ seeded multinomial draw, so every counts table is reproducible from
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,18 @@ import numpy as np
 from .contexts import OutcomeDistribution
 
 _IDENTITY_FLIP = ((1.0, 0.0), (0.0, 1.0))
+
+
+def _integer(what: str, value, minimum: int) -> int:
+    """operator.index(value), at least `minimum`; a bool, float or string is
+    refused, not truncated, with an error naming `what` and the value."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, not {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -26,11 +39,10 @@ class CountsRecord:
     counts: dict
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
-        if any(int(v) < 0 for v in self.counts.values()):
-            raise ValueError("negative count")
-        total = sum(int(v) for v in self.counts.values())
+        object.__setattr__(self, "shots", _integer("shots", self.shots, 1))
+        counts = {k: _integer(f"count of {k!r}", v, 0) for k, v in self.counts.items()}
+        object.__setattr__(self, "counts", counts)
+        total = sum(counts.values())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
 

@@ -308,6 +308,25 @@ def test_sweep_empty_axis_exits_with_error(capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--preset", "s1", "--seed", "-1"), "seed must be an integer >= 0, not -1"),
+        (("sweep", "--alpha-steps", "-1"), "--alpha-steps must be an integer >= 0, not -1"),
+        (("sweep", "--beta-steps", "-3"), "--beta-steps must be an integer >= 0, not -3"),
+    ],
+    ids=("seed", "alpha-steps", "beta-steps"),
+)
+def test_negative_seed_and_steps_exit_with_error(argv, message, capsys):
+    # an exact run used to accept --seed -1, and a negative step count got
+    # numpy's message, which names neither flag
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_non_finite_state_parameters_exit_with_error(tmp_path, capsys):
     config_file = tmp_path / "nan.json"
     config_file.write_text('{"state": {"family": "s1", "alpha": NaN}}')

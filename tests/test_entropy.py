@@ -11,6 +11,7 @@ from entroctx.entropy import (
     evaluate_m_cycle,
     shannon_entropy,
 )
+from entroctx.ncmodels import lp_feasibility
 from entroctx.refdata import REFERENCE_RUNS
 
 RNG = np.random.default_rng(20260825)
@@ -160,20 +161,28 @@ def test_evaluate_m_cycle_small_cases():
         evaluate_m_cycle({}, {}, 2)
 
 
-def test_duplicate_entropy_keys_first_wins():
-    # "1-2" and (1, 2) name one entry: the first one listed is used, both by
-    # the evaluator and by a report built from the same tables
+def test_duplicate_entropy_keys_are_refused():
+    # "1-2" and (1, 2) name one entry: whichever comes first, the table is
+    # refused with both keys named, by the evaluator, by a report built from
+    # the same tables and by the LP's mapping form
     pairs = {k: 2.0 for k in cycle_pair_keys(5)}
     singles = {k: 1.0 for k in cycle_single_keys(5)}
     first_str = {"1-2": 1.5, **pairs}
     first_tuple = {**pairs, "1-2": 1.5}
-    assert evaluate_m_cycle(first_str, singles, 5) == pytest.approx(-2.5, abs=1e-15)
-    assert evaluate_m_cycle(first_tuple, singles, 5) == pytest.approx(-3.0, abs=1e-15)
+    with pytest.raises(ValueError, match=r"keys '1-2' and \(1, 2\) name one entry"):
+        evaluate_m_cycle(first_str, singles, 5)
+    with pytest.raises(ValueError, match=r"keys \(1, 2\) and '1-2' name one entry"):
+        evaluate_m_cycle(first_tuple, singles, 5)
     doubled = {"3": 0.5, **singles}
-    assert evaluate_m_cycle(pairs, doubled, 5) == pytest.approx(-3.5, abs=1e-15)
-    report = EntropyReport.from_entropies(doubled, first_str, "coarse")
-    assert report.h_pairs[(1, 2)] == 1.5 and report.h_singles[3] == 0.5
-    assert report.m_value == pytest.approx(-3.0, abs=1e-15)
+    with pytest.raises(ValueError, match="keys '3' and 3 name one entry"):
+        evaluate_m_cycle(pairs, doubled, 5)
+    with pytest.raises(ValueError, match="name one entry"):
+        EntropyReport.from_entropies(singles, first_str, "coarse")
+    with pytest.raises(ValueError, match="name one entry"):
+        EntropyReport(doubled, pairs, -3.0, "coarse")
+    uniform = {(a, b): 0.25 for a in (1, -1) for b in (1, -1)}
+    with pytest.raises(ValueError, match=r"keys \(1, 2\) and '1-2' name one entry"):
+        lp_feasibility({**{k: uniform for k in pairs}, "1-2": uniform}, 5)
 
 
 def test_evaluate_m_is_linear():

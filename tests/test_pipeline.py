@@ -721,3 +721,26 @@ def test_config_rejects_malformed_outputs(outputs, message):
     with pytest.raises(ValueError) as caught:
         config_from_dict({"outputs": outputs})
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"shots": 100.7}, 'shots other than "exact" must be an integer >= 1, not 100.7'),
+        ({"shots": True}, 'shots other than "exact" must be an integer >= 1, not True'),
+        ({"shots": "100"}, "shots other than \"exact\" must be an integer >= 1, not '100'"),
+        ({"seed": 3.9}, "seed must be an integer >= 0, not 3.9"),
+        ({"seed": -1}, "seed must be an integer >= 0, not -1"),
+        ({"seed": False}, "seed must be an integer >= 0, not False"),
+    ],
+    ids=("float-shots", "bool-shots", "string-shots", "float-seed", "negative-seed",
+         "bool-seed"),
+)
+def test_config_refuses_what_is_not_a_whole_shot_count_or_seed(data, message):
+    # a float used to be cut (100.7 -> 100 shots), a bool read as 0 or 1
+    with pytest.raises(ValueError) as caught:
+        config_from_dict(data)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, not -1"):
+        replace(preset_config("s1"), seed=-1)
+    assert config_from_dict({"shots": np.int64(64), "seed": 0}).shots == 64

@@ -9,6 +9,7 @@ from entroctx.contexts import (
 from entroctx.entropy import entropies_from_counts, shannon_entropy
 from entroctx.pipeline import cycle_contexts, resolve_observables
 from entroctx.refdata import REFERENCE_RUNS
+from entroctx.reports import counts_from_dict
 from entroctx.sampling import (
     CountsRecord,
     _entropy_mismatch,
@@ -35,6 +36,24 @@ def test_counts_record_validation():
         CountsRecord(0, {})
     with pytest.raises(ValueError):
         CountsRecord(1, {"00": -1, "11": 2})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"shots": 10.9, "counts": {"00": 5, "11": 5}}, "shots must be an integer >= 1, not 10.9"),
+        ({"shots": 10, "counts": {"00": 5.9, "11": 4.1}},
+         "count of '00' must be an integer >= 0, not 5.9"),
+        ({"shots": 1, "counts": {"00": True}}, "count of '00' must be an integer >= 0, not True"),
+        ({"shots": 10, "counts": {"00": "10"}}, "count of '00' must be an integer >= 0, not '10'"),
+    ],
+    ids=("float-shots", "float-count", "bool-count", "string-count"),
+)
+def test_counts_files_refuse_what_is_not_a_whole_count(data, message):
+    # 10.9 shots with a count of 5.9 used to read as 10 and 5
+    with pytest.raises(ValueError) as caught:
+        counts_from_dict({"context": ["ZZ", "XX"], **data})
+    assert str(caught.value) == message
 
 
 def test_point_mass_sampling():
