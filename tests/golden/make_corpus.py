@@ -20,6 +20,7 @@ and say which artifacts changed and why.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -138,9 +139,13 @@ def build(workdir) -> dict[str, str]:
     root = workdir / "demos"
     root.mkdir()
     for demo in sorted(DEMOS.glob("*.py")):
-        _capture(corpus, f"demo {demo.name}", root,
-                 lambda: runpy.run_path(str(demo), run_name="__main__") and 0)
+        _capture(corpus, f"demo {demo.name}", root, functools.partial(_demo, demo))
     return corpus
+
+
+def _demo(path: Path) -> int:
+    runpy.run_path(str(path), run_name="__main__")
+    return 0
 
 
 def dump(corpus: dict[str, str]) -> str:

@@ -257,9 +257,8 @@ def test_ingesting_a_runs_counts_files_gives_the_run(tmp_path, preset, conventio
     paths = write_sampled_counts(config, tmp_path)
     ingested = ingest_counts_files(paths, config.observable_set)
     _assert_same_result(ingested, run_experiment(config))
-    assert list(ingested.counts) == [key for _, key, _ in cycle_contexts(
-        resolve_observables(config.observable_set)
-    )]
+    contexts = cycle_contexts(resolve_observables(config.observable_set))
+    assert list(ingested.counts) == [key for _, key, _ in contexts]
 
 
 @pytest.mark.parametrize("shots", [EXACT, 8192])
