@@ -130,6 +130,35 @@ class FeasibilityResult:
 
 
 _PIVOT_EPS = 1e-12
+# Rows per lock-step batch: a chunk holds this many (4n + 1) x (2^n + 8n + 3)
+# tableaus, about 0.8 MB at n = 5, however large the sweep's grid.
+_BATCH_ROWS = 64
+
+
+def _bland_leaving(column, rhs, basis) -> int:
+    """Bland's ratio test with epsilon ties, in sequence over Python floats:
+    the row of the least rhs / column over column > eps, where a ratio within
+    eps of the best so far wins on a lower basis index; -1 when no row has
+    column > eps."""
+    leaving = -1
+    best_ratio = np.inf
+    for i in range(len(column)):
+        if column[i] > _PIVOT_EPS:
+            ratio = rhs[i] / column[i]
+            if ratio < best_ratio - _PIVOT_EPS or (
+                abs(ratio - best_ratio) <= _PIVOT_EPS
+                and (leaving < 0 or basis[i] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = i
+    return leaving
+
+
+def _optimum(rhs: np.ndarray, basis, cost: np.ndarray, n_w: int) -> tuple:
+    """Weights and objective of a final tableau's basic solution."""
+    solution = np.zeros(cost.size)
+    solution[basis] = np.clip(rhs, 0.0, None)
+    return solution[:n_w], float(cost @ solution)
 
 
 def _simplex_min_violation(a0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -151,20 +180,8 @@ def _simplex_min_violation(a0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
         entering = int(eligible.argmax())  # Bland: the lowest eligible index
         if not eligible[entering]:
             break
-        # Bland's ratio test with epsilon ties is sequential: Python floats
-        column = tableau[:, entering].tolist()
-        rhs = tableau[:, -1].tolist()
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(m):
-            if column[i] > _PIVOT_EPS:
-                ratio = rhs[i] / column[i]
-                if ratio < best_ratio - _PIVOT_EPS or (
-                    abs(ratio - best_ratio) <= _PIVOT_EPS
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+        column, rhs = tableau[:, entering].tolist(), tableau[:, -1].tolist()
+        leaving = _bland_leaving(column, rhs, basis)
         if leaving < 0:
             raise RuntimeError("violation LP reported unbounded")
         # per entry the same multiply and subtract as row-by-row elimination
@@ -172,9 +189,64 @@ def _simplex_min_violation(a0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, f
         tableau -= tableau[:, entering, None] * pivot_row
         tableau[leaving] = pivot_row
         basis[leaving] = entering
-    solution = np.zeros(n_cols)
-    solution[basis] = np.clip(tableau[:, -1], 0.0, None)
-    return solution[:n_w], float(cost @ solution)
+    return _optimum(tableau[:, -1], basis, cost, n_w)
+
+
+def _batch_leaving(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
+    """_bland_leaving on each row of (B, m) arrays. When a row's ratios within
+    4 eps of its least all lie within eps / 2 of it, the sequential test ends
+    on the lowest basis index among them, so array operations decide; other
+    rows (near ties spread wider, no candidate) run the sequential test."""
+    ratio = np.full(column.shape, np.inf)
+    np.divide(rhs, column, out=ratio, where=column > _PIVOT_EPS)
+    least = ratio.min(axis=1)
+    near = ratio <= (least + 4 * _PIVOT_EPS)[:, None]
+    leaving = np.where(near, basis, np.iinfo(basis.dtype).max).argmin(axis=1)
+    widest = np.where(near, ratio, -np.inf).max(axis=1)
+    for k in np.flatnonzero((widest > least + 0.5 * _PIVOT_EPS) | np.isinf(least)):
+        column_k, rhs_k = column[k].tolist(), rhs[k].tolist()
+        leaving[k] = _bland_leaving(column_k, rhs_k, basis[k].tolist())
+    return leaving
+
+
+def _simplex_min_violation_batch(a0: np.ndarray, b: np.ndarray) -> list[tuple]:
+    """_simplex_min_violation for each row of a (B, m) right-hand side, in
+    lock step: one step takes every unfinished row's entering column, ratio
+    test and elimination at once, with the same pivots and the same
+    arithmetic per entry as the one-row solve, so weights and totals agree
+    bit for bit. A row at its optimum leaves the batch."""
+    size, m = b.shape
+    n_w = a0.shape[1]
+    n_cols = n_w + 2 * m
+    start = np.hstack([a0, np.eye(m), -np.eye(m)])
+    tableau = np.concatenate(
+        [np.broadcast_to(start, (size, m, n_cols)), b[:, :, None]], axis=2
+    )
+    cost = np.concatenate([np.zeros(n_w), np.ones(2 * m)])
+    basis = np.tile(np.arange(n_w, n_w + m), (size, 1))
+    index = np.arange(size)  # batch row -> row of b
+    optima: list = [None] * size
+    while True:
+        reduced = cost - np.matmul(cost[basis][:, None], tableau[:, :, :n_cols])[:, 0]
+        eligible = reduced < -_PIVOT_EPS
+        entering = eligible.argmax(axis=1)  # Bland: the lowest eligible index
+        going = eligible[np.arange(index.size), entering]
+        for k in np.flatnonzero(~going):
+            optima[index[k]] = _optimum(tableau[k, :, -1], basis[k], cost, n_w)
+        if not going.all():
+            tableau, basis = tableau[going], basis[going]
+            entering, index = entering[going], index[going]
+        if not index.size:
+            return optima
+        rows = np.arange(index.size)
+        column = tableau[rows, :, entering]
+        leaving = _batch_leaving(column, tableau[:, :, -1], basis)
+        if (leaving < 0).any():
+            raise RuntimeError("violation LP reported unbounded")
+        pivot_row = tableau[rows, leaving] / column[rows, leaving, None]
+        tableau -= column[:, :, None] * pivot_row[:, None, :]
+        tableau[rows, leaving] = pivot_row
+        basis[rows, leaving] = entering
 
 
 def _pair_rows(pair_dists, n: int) -> np.ndarray:
@@ -196,11 +268,17 @@ def _pair_rows(pair_dists, n: int) -> np.ndarray:
             listed.append([table[label] for label in _PAIR_LABELS])
         pair_dists = listed
     rows = np.asarray(pair_dists, dtype=float)
-    if rows.shape != (n, 4):
-        raise ValueError(f"pair rows have shape {rows.shape}, not ({n}, 4)")
+    return _checked_rows(rows, rows.shape, n)
+
+
+def _checked_rows(rows: np.ndarray, shape: tuple, n: int) -> np.ndarray:
+    """`rows`, whose pair-row blocks have `shape`, once that is (n, 4) and
+    every value is finite and non-negative."""
+    if shape != (n, 4):
+        raise ValueError(f"pair rows have shape {shape}, not ({n}, 4)")
     if not (np.isfinite(rows) & (rows >= 0.0)).all():
         raise ValueError(
-            f"pair rows of shape {rows.shape} hold a negative or non-finite value"
+            f"pair rows of shape {shape} hold a negative or non-finite value"
         )
     return rows
 
@@ -208,6 +286,8 @@ def _pair_rows(pair_dists, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pair_constraints(n: int) -> np.ndarray:
     """Read-only (4n + 1, 2^n) 0/1 rows: pair outcomes, then normalization."""
+    if n < 3:
+        raise ValueError("cycle needs at least 3 observables")
     if n > MAX_OBSERVABLES:
         raise ValueError(f"n = {n} too large (limit {MAX_OBSERVABLES})")
     values = value_matrix(n)
@@ -219,6 +299,26 @@ def _pair_constraints(n: int) -> np.ndarray:
     a0 = np.vstack([np.array(rows, dtype=float), np.ones(2**n)])
     a0.setflags(write=False)
     return a0
+
+
+def _checked_tolerance(tolerance):
+    if not 0.0 <= tolerance < np.inf:  # also false for nan
+        raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance!r}")
+    return tolerance
+
+
+def _verdict(a0: np.ndarray, b: np.ndarray, w: np.ndarray, total: float, tolerance):
+    """One solve's FeasibilityResult: its largest constraint residual, the
+    verdict total <= tolerance and, when feasible, the witness."""
+    max_violation = float(np.abs(a0 @ w - b).max())
+    feasible = bool(total <= tolerance)
+    witness = None
+    if feasible:
+        w = np.clip(w, 0.0, None)
+        norm = w.sum()
+        n = w.size.bit_length() - 1
+        witness = NCModel(w / norm) if norm > 0 else NCModel.uniform(n)
+    return FeasibilityResult(feasible, witness, max_violation, total)
 
 
 def lp_feasibility(
@@ -237,17 +337,26 @@ def lp_feasibility(
     (1, 2), ..., (n, 1) and columns (+,+), (+,-), (-,+), (-,-), or a mapping
     from pair keys (i, j) or "i-j" to coarse pair distributions or mappings.
     """
-    if n < 3:
-        raise ValueError("cycle needs at least 3 observables")
-    a0 = _pair_constraints(n)
+    a0, tolerance = _pair_constraints(n), _checked_tolerance(tolerance)
     b = np.append(_pair_rows(pair_dists, n), 1.0)
     w, total = _simplex_min_violation(a0, b)
-    residual = a0 @ w - b
-    max_violation = float(np.abs(residual).max())
-    feasible = total <= tolerance
-    witness = None
-    if feasible:
-        w = np.clip(w, 0.0, None)
-        norm = w.sum()
-        witness = NCModel(w / norm) if norm > 0 else NCModel.uniform(n)
-    return FeasibilityResult(feasible, witness, max_violation, total)
+    return _verdict(a0, b, w, total, tolerance)
+
+
+def _lp_feasibility_rows(rows, n: int, tolerance: float) -> list[FeasibilityResult]:
+    """lp_feasibility on each (n, 4) block of a (B, n, 4) array, with the same
+    checks and results. One block takes the one-row solve; more are solved in
+    lock-step chunks of _BATCH_ROWS, which is faster per row."""
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) == 1:
+        return [lp_feasibility(rows[0], n, tolerance)]
+    a0, tolerance = _pair_constraints(n), _checked_tolerance(tolerance)
+    _checked_rows(rows, rows.shape[1:], n)
+    b = np.hstack([rows.reshape(len(rows), 4 * n), np.ones((len(rows), 1))])
+    results = []
+    for start in range(0, len(b), _BATCH_ROWS):
+        chunk = b[start : start + _BATCH_ROWS]
+        optima = _simplex_min_violation_batch(a0, chunk)
+        for bk, (w, total) in zip(chunk, optima):
+            results.append(_verdict(a0, bk, w, total, tolerance))
+    return results

@@ -31,7 +31,7 @@ from .entropy import (
     entropy_rows,
     evaluate_m_cycle,
 )
-from .ncmodels import FeasibilityResult, lp_feasibility
+from .ncmodels import FeasibilityResult, _lp_feasibility_rows
 from .pauli import OBSERVABLE_SETS, PauliString, as_pauli, verify_cycle
 from .refdata import REFERENCE_RUNS
 from .reports import read_counts, write_counts
@@ -148,7 +148,7 @@ def _analyse(entries, n: int, convention: str, tolerance: float | None = None) -
     if tolerance is None:
         return h["single"], h["pair"], m, None, []
     stacked = np.stack(coarse, axis=1)
-    verdicts = [lp_feasibility(rows, n, tolerance) for rows in stacked]
+    verdicts = _lp_feasibility_rows(stacked, n, tolerance)
     return h["single"], h["pair"], m, stacked, verdicts
 
 
@@ -171,7 +171,7 @@ def lp_tolerance_for(n: int, shots: int | str) -> float:
     """1e-9 for exact runs; sampled marginals get (4n+1)/sqrt(shots) slack."""
     if shots == EXACT:
         return 1e-9
-    return (4 * n + 1) / math.sqrt(int(shots))
+    return (4 * n + 1) / math.sqrt(_integer("shots", shots, 1))
 
 
 @dataclass(frozen=True)

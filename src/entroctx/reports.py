@@ -102,7 +102,11 @@ def write_counts(path, observable_texts, record: CountsRecord) -> None:
 
 
 def read_counts(path) -> tuple[tuple[str, ...], CountsRecord]:
-    return counts_from_dict(json.loads(Path(path).read_text()))
+    """A counts file's context and record; a malformed file is named."""
+    try:
+        return counts_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def literal_entropies_to_report(data: dict) -> EntropyReport:

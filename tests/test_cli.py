@@ -252,6 +252,25 @@ def test_error_exit_code(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_malformed_counts_file_is_named(tmp_path, capsys):
+    counts_dir = tmp_path / "counts"
+    run_cli("sample", "--preset", "s1", "--out", str(counts_dir))
+    capsys.readouterr()
+    bad = counts_dir / "pair_x3x4.json"
+    data = json.loads(bad.read_text())
+    data["shots"] = 10.5
+    bad.write_text(json.dumps(data))
+    paths = sorted(str(p) for p in counts_dir.glob("*.json"))
+    for command in ("nc-check", "entropies"):
+        code = run_cli(command, "--counts", *paths)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {bad}: shots must be an integer >= 1, not 10.5\n"
+        )
+
+
 def test_fit_noise_uses_coarse_fallback_like_simulate(tmp_path, capsys):
     # YYZ has no local basis shared with XXI or ZZI; its pairs read full
     # 3-bit records in simulate and fit-noise alike, with no fallback flag

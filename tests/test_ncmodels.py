@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -143,8 +144,18 @@ def test_lp_recovers_model_marginals():
 
 def test_lp_feasible_for_ideal_preset():
     result = run_experiment(preset_config("s1", convention="coarse"))
-    assert result.feasibility.feasible
+    assert result.feasibility.feasible is True
     assert result.feasibility.max_constraint_violation <= 1e-9
+    rows = np.array([result.coarse_pairs[key].probs for key in cycle_pair_keys(5)])
+    # a numpy tolerance still gives a bool verdict, which JSON can write
+    lp = lp_feasibility(rows, 5, np.float64(1e-9))
+    assert lp.feasible is True
+    assert json.dumps(lp.feasible) == "true"
+    for bad in (-1e-9, np.nan, np.inf):
+        for solve in (lp_feasibility, ncmodels._lp_feasibility_rows):
+            block = rows if solve is lp_feasibility else np.stack([rows, rows])
+            with pytest.raises(ValueError, match="tolerance must be a finite number"):
+                solve(block, 5, bad)
 
 
 def test_lp_rejects_inconsistent_singles_as_infeasible():
@@ -263,26 +274,37 @@ def test_lp_rejects_cycles_shorter_than_three():
         lp_feasibility(np.full((2, 4), 0.25), 2)
 
 
+def each_solve(rows):
+    """lp_feasibility on (n, 4) rows, and the batch helper on a stack of
+    three blocks whose middle one is those rows."""
+    good = np.full(rows.shape, 0.25)
+    yield lambda n: lp_feasibility(rows, n)
+    yield lambda n: ncmodels._lp_feasibility_rows(np.stack([good, rows, good]), n, 1e-9)
+
+
 def test_lp_rejects_pair_rows_of_the_wrong_shape():
     for shape in ((5, 3), (4, 4), (6, 4), (20,), (1, 5, 4)):
-        with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
-            lp_feasibility(np.full(shape, 0.25), 5)
+        for solve in each_solve(np.full(shape, 0.25)):
+            with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+                solve(5)
 
 
 def test_lp_rejects_non_finite_pair_rows():
     for bad in (np.nan, np.inf, -np.inf):
         rows = np.full((5, 4), 0.25)
         rows[2, 1] = bad
-        with pytest.raises(ValueError, match=r"shape \(5, 4\) hold .*non-finite"):
-            lp_feasibility(rows, 5)
+        for solve in each_solve(rows):
+            with pytest.raises(ValueError, match=r"shape \(5, 4\) hold .*non-finite"):
+                solve(5)
 
 
 def test_lp_rejects_negative_pair_rows():
     # the simplex starts from the basis u = b, which needs b >= 0
     rows = np.full((5, 4), 0.25)
     rows[0] = [-0.1, 0.6, 0.25, 0.25]
-    with pytest.raises(ValueError, match=r"shape \(5, 4\) hold a negative"):
-        lp_feasibility(rows, 5)
+    for solve in each_solve(rows):
+        with pytest.raises(ValueError, match=r"shape \(5, 4\) hold a negative"):
+            solve(5)
 
 
 def reference_simplex_min_violation(a0, b):
@@ -416,6 +438,7 @@ def test_simplex_pivots_match_loop_reference(n):
     a0 = np.vstack([pair_indicators(n), np.ones(2**n)])
     assert np.array_equal(ncmodels._pair_constraints(n), a0)
     rng = np.random.default_rng([20260825, n])
+    kinds, rhs, optima = [], [], []
     for _ in range(3 if n <= 7 else 1):
         for kind, p in pivot_instances(n, rng):
             b = np.append(p, 1.0)
@@ -423,6 +446,47 @@ def test_simplex_pivots_match_loop_reference(n):
             ref_weights, ref_total = reference_simplex_min_violation(a0, b)
             assert np.array_equal(weights, ref_weights), kind
             assert total == ref_total, kind
+            kinds.append(kind)
+            rhs.append(b)
+            optima.append((weights, total))
+    # every instance in one lock-step batch: the same pivots, bit for bit
+    batch = ncmodels._simplex_min_violation_batch(a0, np.array(rhs))
+    assert len(batch) == len(kinds)
+    for kind, (weights, total), (got_weights, got_total) in zip(kinds, optima, batch):
+        assert np.array_equal(got_weights, weights), kind
+        assert type(got_total) is float and got_total == total, kind
+
+
+def test_batch_ratio_test_matches_the_sequential_one(monkeypatch):
+    # ratios tied exactly, spread inside and outside the eps / 2 the array
+    # form decides on, at large magnitude, and a row with no candidate
+    eps = ncmodels._PIVOT_EPS
+    rng = np.random.default_rng(20260828)
+    columns, rhs, bases = [], [], []
+    for base in (0.0, 0.25, 3e12):
+        for gap in (0.0, 0.3 * eps, 0.5 * eps, 0.9 * eps, 1.5 * eps, 3.9 * eps, 1e-6):
+            for _ in range(12):
+                column = rng.choice([0.0, -1.0, 0.5 * eps, 0.5, 1.0, 3.0], 9)
+                ratio = base + gap * rng.integers(0, 3, 9) + rng.choice([0.0, 0.4], 9)
+                columns.append(column)
+                rhs.append(ratio * column)
+                bases.append(rng.permutation(60)[:9])
+    columns.append(np.zeros(9))
+    rhs.append(np.ones(9))
+    bases.append(np.arange(9))
+    sequential = ncmodels._bland_leaving
+    expected = [
+        sequential(c.tolist(), r.tolist(), b.tolist())
+        for c, r, b in zip(columns, rhs, bases)
+    ]
+    scanned = []
+    monkeypatch.setattr(
+        ncmodels, "_bland_leaving", lambda *args: scanned.append(1) or sequential(*args)
+    )
+    got = ncmodels._batch_leaving(np.array(columns), np.array(rhs), np.array(bases))
+    assert got.tolist() == expected
+    assert -1 in expected
+    assert 0 < len(scanned) < len(expected)
 
 
 def test_lp_agrees_with_closed_form_cycle_facets():

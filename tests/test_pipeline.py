@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entroctx import contexts, pipeline
+from entroctx import contexts, ncmodels, pipeline
 from entroctx.contexts import OutcomeDistribution, coarsen, joint_distribution_fine
 from entroctx.pipeline import (
     EXACT,
@@ -21,6 +21,7 @@ from entroctx.pipeline import (
     ingest_counts,
     ingest_counts_files,
     load_config,
+    lp_tolerance_for,
     preset_config,
     reproduce_reference,
     resolve_observables,
@@ -29,6 +30,7 @@ from entroctx.pipeline import (
     sweep_summary,
     write_sampled_counts,
 )
+from entroctx.ncmodels import lp_feasibility
 from entroctx.refdata import REFERENCE_RUNS
 from entroctx.reports import (
     counts_from_dict,
@@ -291,7 +293,7 @@ def test_write_sampled_counts_solves_no_lp_and_writes_no_report(
     def no_lp(*args, **kwargs):
         raise AssertionError("write_sampled_counts solved an LP")
 
-    monkeypatch.setattr(pipeline, "lp_feasibility", no_lp)
+    monkeypatch.setattr(pipeline, "_lp_feasibility_rows", no_lp)
     paths = write_sampled_counts(config, tmp_path / "counts")
     assert not report.exists()
     contexts = cycle_contexts(resolve_observables(config.observable_set), convention)
@@ -372,7 +374,7 @@ def test_reproduce_reference_solves_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("reproduce_reference solved an LP")
 
-    monkeypatch.setattr(pipeline, "lp_feasibility", no_lp)
+    monkeypatch.setattr(pipeline, "_lp_feasibility_rows", no_lp)
     result = reproduce_reference()
     for (name, conv), m in expected.items():
         assert result["runs"][name]["ideal_m"][conv] == m
@@ -489,6 +491,47 @@ def test_sweep_of_a_violating_cycle_matches_facets_and_runs():
             facet -= 2 * np.abs(corr).min()
         # 20 of the 81 points lie on a facet, up to 1e-13 of rounding
         assert feasible == (facet <= len(cycle) - 2 + 1e-9), (alpha, beta, facet)
+
+
+def test_sweep_batches_match_one_lp_per_point(monkeypatch):
+    # more points than one lock-step chunk, the last chunk ragged, on the
+    # violating cycle above so the grid holds both verdicts: each point's
+    # verdict, residual, total and witness are lp_feasibility's on its pairs
+    solved = []
+    batched = pipeline._lp_feasibility_rows
+
+    def spy(rows, n, tolerance):
+        results = batched(rows, n, tolerance)
+        solved.append((rows, n, tolerance, results))
+        return results
+
+    monkeypatch.setattr(pipeline, "_lp_feasibility_rows", spy)
+    chunk = ncmodels._BATCH_ROWS
+    alphas = np.linspace(-np.pi, np.pi, chunk // 8 + 1) + 0.01
+    betas = np.linspace(-np.pi, np.pi, 9) + 0.01
+    rows = sweep("s1", alphas, betas, ("ZY", "IY", "XY", "YZ"))
+    [(pair_rows, n, tolerance, results)] = solved
+    assert len(rows) == len(pair_rows) > chunk and len(rows) % chunk != 0
+    assert [row[4] for row in rows] == [lp.feasible for lp in results]
+    assert {row[4] for row in rows} == {True, False}
+    for point, lp in zip(pair_rows, results):
+        one = lp_feasibility(point, n, tolerance)
+        assert lp.feasible is one.feasible
+        assert lp.max_constraint_violation == one.max_constraint_violation
+        assert lp.total_violation == one.total_violation
+        if one.witness is None:
+            assert lp.witness is None
+        else:
+            assert np.array_equal(lp.witness.weights, one.witness.weights)
+
+
+def test_lp_tolerance_for_refuses_a_shot_count_it_would_truncate():
+    assert lp_tolerance_for(5, EXACT) == 1e-9
+    assert lp_tolerance_for(5, 100) == 2.1
+    for bad in (100.7, True, 0, "100"):
+        message = f"shots must be an integer >= 1, not {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            lp_tolerance_for(5, bad)
 
 
 def test_export_suite_counts(tmp_path):
