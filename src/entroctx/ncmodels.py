@@ -130,8 +130,8 @@ class FeasibilityResult:
 
 
 _PIVOT_EPS = 1e-12
-# Rows per lock-step batch: a chunk holds this many (4n + 1) x (2^n + 8n + 3)
-# tableaus, about 0.8 MB at n = 5, however large the sweep's grid.
+# Rows per lock-step batch: this many (4n + 1) x (2^n + 4n + 2) tableaus plus
+# an elimination buffer as large, 1.2 MB at n = 5, whatever the grid's size.
 _BATCH_ROWS = 64
 
 
@@ -201,7 +201,7 @@ def _batch_leaving(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
     np.divide(rhs, column, out=ratio, where=column > _PIVOT_EPS)
     least = ratio.min(axis=1)
     near = ratio <= (least + 4 * _PIVOT_EPS)[:, None]
-    leaving = np.where(near, basis, np.iinfo(basis.dtype).max).argmin(axis=1)
+    leaving = np.where(near, basis, np.inf).argmin(axis=1)
     widest = np.where(near, ratio, -np.inf).max(axis=1)
     for k in np.flatnonzero((widest > least + 0.5 * _PIVOT_EPS) | np.isinf(least)):
         column_k, rhs_k = column[k].tolist(), rhs[k].tolist()
@@ -209,44 +209,54 @@ def _batch_leaving(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
     return leaving
 
 
-def _simplex_min_violation_batch(a0: np.ndarray, b: np.ndarray) -> list[tuple]:
-    """_simplex_min_violation for each row of a (B, m) right-hand side, in
-    lock step: one step takes every unfinished row's entering column, ratio
-    test and elimination at once, with the same pivots and the same
-    arithmetic per entry as the one-row solve, so weights and totals agree
-    bit for bit. A row at its optimum leaves the batch."""
-    size, m = b.shape
-    n_w = a0.shape[1]
-    n_cols = n_w + 2 * m
-    start = np.hstack([a0, np.eye(m), -np.eye(m)])
-    tableau = np.concatenate(
-        [np.broadcast_to(start, (size, m, n_cols)), b[:, :, None]], axis=2
-    )
+def _simplex_min_violation_batch(a0: np.ndarray, b: np.ndarray, tolerance):
+    """Is _simplex_min_violation's optimum at most `tolerance`, for each row of
+    a (B, m) right-hand side? One lock step pivots every unfinished row as the
+    one-row solve does, with the same product per entry. A row leaves feasible
+    once its objective, the sum of its clipped basic slack values, is _PIVOT_EPS
+    under `tolerance` (it never rises but by rounding), or at its optimum with
+    _optimum's total. The v block is always the u block negated, bit for bit
+    (elimination is sign-symmetric), so the tableau is [a0 | u | rhs]."""
+    (size, m), n_w = b.shape, a0.shape[1]
+    n_half = n_w + m
+    tableau = np.empty((size, m, n_half + 1))
+    tableau[:, :, :n_half] = np.hstack([a0, np.eye(m)])
+    tableau[:, :, -1] = b
+    product = np.empty_like(tableau)
     cost = np.concatenate([np.zeros(n_w), np.ones(2 * m)])
-    basis = np.tile(np.arange(n_w, n_w + m), (size, 1))
+    # entering column j is tableau column source[j] times sign[j]
+    source = np.concatenate([np.arange(n_half), np.arange(n_w, n_half)])
+    sign = np.concatenate([np.ones(n_half), -np.ones(m)])
+    basis = np.tile(np.arange(n_w, n_half), (size, 1))
+    basic_cost = np.ones((size, m))  # cost[basis], row by row
     index = np.arange(size)  # batch row -> row of b
-    optima: list = [None] * size
+    verdicts, rows = np.zeros(size, dtype=bool), np.arange(size)
     while True:
-        reduced = cost - np.matmul(cost[basis][:, None], tableau[:, :, :n_cols])[:, 0]
+        slack = np.maximum(tableau[:, :, -1], 0.0)
+        reached = np.einsum("bi,bi->b", basic_cost, slack) <= tolerance - _PIVOT_EPS
+        x = np.matmul(basic_cost[:, None], tableau[:, :, :n_half])[:, 0]
+        reduced = np.concatenate([cost[:n_half] - x, 1.0 - (-x[:, n_w:])], axis=1)
         eligible = reduced < -_PIVOT_EPS
         entering = eligible.argmax(axis=1)  # Bland: the lowest eligible index
-        going = eligible[np.arange(index.size), entering]
-        for k in np.flatnonzero(~going):
-            optima[index[k]] = _optimum(tableau[k, :, -1], basis[k], cost, n_w)
+        going = eligible[rows, entering] & ~reached
         if not going.all():
-            tableau, basis = tableau[going], basis[going]
-            entering, index = entering[going], index[going]
-        if not index.size:
-            return optima
-        rows = np.arange(index.size)
-        column = tableau[rows, :, entering]
+            verdicts[index[reached]] = True
+            for k in np.flatnonzero(~going & ~reached):
+                total = _optimum(tableau[k, :, -1], basis[k], cost, n_w)[1]
+                verdicts[index[k]] = total <= tolerance
+            tableau, basis, basic_cost = tableau[going], basis[going], basic_cost[going]
+            entering, index, rows = entering[going], index[going], rows[: going.sum()]
+            if not index.size:
+                return verdicts
+        column = tableau[rows, :, source[entering]] * sign[entering, None]
         leaving = _batch_leaving(column, tableau[:, :, -1], basis)
         if (leaving < 0).any():
             raise RuntimeError("violation LP reported unbounded")
         pivot_row = tableau[rows, leaving] / column[rows, leaving, None]
-        tableau -= column[:, :, None] * pivot_row[:, None, :]
+        tableau -= np.einsum("bi,bj->bij", column, pivot_row, out=product[: index.size])
         tableau[rows, leaving] = pivot_row
         basis[rows, leaving] = entering
+        basic_cost[rows, leaving] = cost[entering]
 
 
 def _pair_rows(pair_dists, n: int) -> np.ndarray:
@@ -307,20 +317,6 @@ def _checked_tolerance(tolerance):
     return tolerance
 
 
-def _verdict(a0: np.ndarray, b: np.ndarray, w: np.ndarray, total: float, tolerance):
-    """One solve's FeasibilityResult: its largest constraint residual, the
-    verdict total <= tolerance and, when feasible, the witness."""
-    max_violation = float(np.abs(a0 @ w - b).max())
-    feasible = bool(total <= tolerance)
-    witness = None
-    if feasible:
-        w = np.clip(w, 0.0, None)
-        norm = w.sum()
-        n = w.size.bit_length() - 1
-        witness = NCModel(w / norm) if norm > 0 else NCModel.uniform(n)
-    return FeasibilityResult(feasible, witness, max_violation, total)
-
-
 def lp_feasibility(
     pair_dists, n: int, tolerance: float = 1e-9
 ) -> FeasibilityResult:
@@ -340,23 +336,24 @@ def lp_feasibility(
     a0, tolerance = _pair_constraints(n), _checked_tolerance(tolerance)
     b = np.append(_pair_rows(pair_dists, n), 1.0)
     w, total = _simplex_min_violation(a0, b)
-    return _verdict(a0, b, w, total, tolerance)
+    max_violation = float(np.abs(a0 @ w - b).max())
+    feasible = bool(total <= tolerance)
+    witness = None
+    if feasible:
+        w = np.clip(w, 0.0, None)
+        norm = w.sum()
+        witness = NCModel(w / norm) if norm > 0 else NCModel.uniform(n)
+    return FeasibilityResult(feasible, witness, max_violation, total)
 
 
-def _lp_feasibility_rows(rows, n: int, tolerance: float) -> list[FeasibilityResult]:
-    """lp_feasibility on each (n, 4) block of a (B, n, 4) array, with the same
-    checks and results. One block takes the one-row solve; more are solved in
-    lock-step chunks of _BATCH_ROWS, which is faster per row."""
+def _feasible_rows(rows, n: int, tolerance: float) -> list[bool]:
+    """lp_feasibility(block, n, tolerance).feasible, a Python bool, for each
+    (n, 4) block of a (B, n, 4) array, with the same checks; solved in
+    lock-step chunks of _BATCH_ROWS rows."""
     rows = np.asarray(rows, dtype=float)
-    if len(rows) == 1:
-        return [lp_feasibility(rows[0], n, tolerance)]
     a0, tolerance = _pair_constraints(n), _checked_tolerance(tolerance)
     _checked_rows(rows, rows.shape[1:], n)
     b = np.hstack([rows.reshape(len(rows), 4 * n), np.ones((len(rows), 1))])
-    results = []
-    for start in range(0, len(b), _BATCH_ROWS):
-        chunk = b[start : start + _BATCH_ROWS]
-        optima = _simplex_min_violation_batch(a0, chunk)
-        for bk, (w, total) in zip(chunk, optima):
-            results.append(_verdict(a0, bk, w, total, tolerance))
-    return results
+    chunks = np.split(b, range(_BATCH_ROWS, len(b), _BATCH_ROWS))
+    verdicts = [_simplex_min_violation_batch(a0, chunk, tolerance) for chunk in chunks]
+    return np.concatenate(verdicts).tolist()

@@ -31,11 +31,12 @@ from .entropy import (
     entropy_rows,
     evaluate_m_cycle,
 )
-from .ncmodels import FeasibilityResult, _lp_feasibility_rows
+from .ncmodels import FeasibilityResult, _feasible_rows, lp_feasibility
 from .pauli import OBSERVABLE_SETS, PauliString, as_pauli, verify_cycle
 from .refdata import REFERENCE_RUNS
 from .reports import read_counts, write_counts
-from .sampling import CountsRecord, NoiseModel, _integer, apply_noise, sample_counts
+from .sampling import CountsRecord, NoiseModel, apply_noise, sample_counts
+from .sampling import _integer, _texts
 from .statevec import (
     PRESET_S1,
     PRESET_S2,
@@ -125,31 +126,23 @@ def cycle_contexts(
     return entries
 
 
-def _dists(entries, kind: str) -> dict:
-    return {key: dist for k, key, _, dist in entries if k == kind}
-
-
-def _analyse(entries, n: int, convention: str, tolerance: float | None = None) -> tuple:
+def _analyse(entries, n: int, convention: str, lp_rows: bool = False) -> tuple:
     """The one analysis stage of every route.
 
     `entries` are (kind, key, ctx, rows) in cycle_contexts order, rows a
     (batch, K) array of probabilities over the context's fine records or
-    coarse outcomes, as `convention` says. Returns the single and pair
-    entropy tables and M, each per row, and with a tolerance the coarse
-    pair rows, (batch, n, 4) in cycle order, and each row's LP verdict.
+    coarse outcomes, as `convention` says. Returns the single and pair entropy
+    tables and M, each per row, and with `lp_rows` the LP's coarse pair rows,
+    (batch, n, 4) in cycle order.
     """
     h: dict = {"single": {}, "pair": {}}
     coarse = []
     for kind, key, ctx, rows in entries:
         h[kind][key] = entropy_rows(rows)
-        if kind == "pair" and tolerance is not None:
+        if kind == "pair" and lp_rows:
             coarse.append(rows @ binning_matrix(ctx) if convention == "fine" else rows)
     m = evaluate_m_cycle(h["pair"], h["single"], n)
-    if tolerance is None:
-        return h["single"], h["pair"], m, None, []
-    stacked = np.stack(coarse, axis=1)
-    verdicts = _lp_feasibility_rows(stacked, n, tolerance)
-    return h["single"], h["pair"], m, stacked, verdicts
+    return h["single"], h["pair"], m, np.stack(coarse, axis=1) if lp_rows else None
 
 
 def _counts_dist(record: CountsRecord, ctx, convention: str) -> OutcomeDistribution:
@@ -188,14 +181,14 @@ def _result(entries, convention: str, n: int, tolerance: float, counts=None) -> 
     """One run's (kind, key, ctx, dist) entries through the stage: its report,
     its coarse pair distributions and the LP verdict on them."""
     rows = [(kind, key, ctx, dist.probs[None, :]) for kind, key, ctx, dist in entries]
-    singles, pairs, m, stacked, verdicts = _analyse(rows, n, convention, tolerance)
+    singles, pairs, m, stacked = _analyse(rows, n, convention, lp_rows=True)
     h_singles = {i: float(h[0]) for i, h in singles.items()}
     h_pairs = {key: float(h[0]) for key, h in pairs.items()}
     return RunResult(
         report=EntropyReport(h_singles, h_pairs, float(m[0]), convention, n),
-        feasibility=verdicts[0],
-        single_dists=_dists(entries, "single"),
-        pair_dists=_dists(entries, "pair"),
+        feasibility=lp_feasibility(stacked[0], n, tolerance),
+        single_dists={key: dist for k, key, _, dist in entries if k == "single"},
+        pair_dists={key: dist for k, key, _, dist in entries if k == "pair"},
         coarse_pairs={
             key: OutcomeDistribution(outcome_labels(ctx, "coarse"), row)
             for (_, key, ctx, _), row in zip(entries[n - 2 :], stacked[0])
@@ -388,7 +381,7 @@ def sweep(
     observable_set: str | tuple[str, ...] = "table1",
 ) -> list[tuple]:
     """Exact M over a state-parameter grid, from one batched kernel pass per
-    context; the coarse analysis also solves one LP per point. Rows (alpha,
+    context, and each point's LP verdict on its coarse pairs. Rows (alpha,
     beta, M_coarse, M_fine, lp_feasible) sorted by (alpha, beta)."""
     observables = resolve_observables(observable_set)
     n = len(observables)
@@ -398,11 +391,11 @@ def sweep(
             raise ValueError(f"sweep {name} axis is empty; give at least one {name}")
     alpha, beta = np.repeat(a, b.size), np.tile(b, a.size)
     entries = _exact_entries(family_amplitudes(family, alpha, beta), observables)
-    tolerance = lp_tolerance_for(n, EXACT)
-    _, _, m_coarse, _, verdicts = _analyse(entries["coarse"], n, "coarse", tolerance)
+    _, _, m_coarse, coarse = _analyse(entries["coarse"], n, "coarse", lp_rows=True)
     m_fine = _analyse(entries["fine"], n, "fine")[2]
+    feasible = _feasible_rows(coarse, n, lp_tolerance_for(n, EXACT))
     points = zip(alpha.tolist(), beta.tolist(), m_coarse.tolist(), m_fine.tolist())
-    rows = [(*point, lp.feasible) for point, lp in zip(points, verdicts)]
+    rows = [(*point, verdict) for point, verdict in zip(points, feasible)]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
@@ -491,12 +484,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     state_d = data.get("state", {})
     _reject_unknown("state", state_d, ("family", "alpha", "beta", "amplitudes"))
     if "amplitudes" in state_d:
-        amps = []
-        for entry in state_d["amplitudes"]:
-            if isinstance(entry, (list, tuple)) and len(entry) == 2:
-                amps.append(complex(entry[0], entry[1]))
-            else:
-                amps.append(complex(entry))
+        entries = state_d["amplitudes"]
+        try:
+            pairs = [isinstance(e, (list, tuple)) and len(e) == 2 for e in entries]
+            amps = [complex(*e) if p else complex(e) for e, p in zip(entries, pairs)]
+        except (TypeError, ValueError):
+            amps = None
+        if not isinstance(entries, list) or amps is None:
+            form = "a list of numbers or [re, im] pairs"
+            raise ValueError(f"state amplitudes must be {form}, not {entries!r}")
         state = StatePrepSpec(family="explicit", explicit_amplitudes=tuple(amps))
     else:
         state = StatePrepSpec(
@@ -508,14 +504,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "noise" in data and data["noise"] is not None:
         noise_d = data["noise"]
         _reject_unknown("noise", noise_d, ("epsilon", "readout_flip"))
-        flip = noise_d.get("readout_flip")
-        noise = NoiseModel(
-            depolarizing_epsilon=float(noise_d.get("epsilon", 0.0)),
-            readout_flip=tuple(tuple(row) for row in flip) if flip else None,
-        )
+        epsilon = float(noise_d.get("epsilon", 0.0))
+        noise = NoiseModel(epsilon, noise_d.get("readout_flip"))
     observable_set = data.get("observable_set", "table1")
     if not isinstance(observable_set, str):
-        observable_set = tuple(observable_set)
+        observable_set = _texts("observable_set other than a set name", observable_set)
     outputs = data.get("outputs")
     if isinstance(outputs, dict):
         _reject_unknown("outputs", outputs, ("report",))

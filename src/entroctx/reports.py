@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from .entropy import EntropyReport, cycle_pair_keys, evaluate_m_cycle
-from .sampling import CountsRecord
+from .sampling import CountsRecord, _texts
 
 _DECIMALS = 11
 
@@ -49,11 +49,11 @@ def report_to_dict(report: EntropyReport, lp_feasible: bool | None) -> dict:
     }
 
 
-def _field(data, name: str):
+def _field(data, name: str, kind: str = "entropies"):
     try:
         return data[name]
     except (KeyError, TypeError):
-        raise ValueError(f"entropies file lacks the {name!r} field") from None
+        raise ValueError(f"{kind} file lacks the {name!r} field") from None
 
 
 def report_from_dict(data: dict) -> tuple[EntropyReport, bool | None]:
@@ -90,10 +90,12 @@ def counts_to_dict(observable_texts, record: CountsRecord) -> dict:
 
 
 def counts_from_dict(data: dict) -> tuple[tuple[str, ...], CountsRecord]:
-    texts = tuple(data["context"])
-    counts = {_text_to_label(k): v for k, v in data["counts"].items()}
-    record = CountsRecord(data["shots"], counts)
-    return texts, record
+    texts = _texts("counts file 'context'", _field(data, "context", "counts"))
+    counts = _field(data, "counts", "counts")
+    if not isinstance(counts, dict):
+        raise ValueError(f"counts file 'counts' must be an object, not {counts!r}")
+    labelled = {_text_to_label(k): v for k, v in counts.items()}
+    return texts, CountsRecord(_field(data, "shots", "counts"), labelled)
 
 
 def write_counts(path, observable_texts, record: CountsRecord) -> None:

@@ -31,6 +31,13 @@ def _integer(what: str, value, minimum: int) -> int:
     return number
 
 
+def _texts(what: str, value) -> tuple[str, ...]:
+    """A list of strings as a tuple, or an error naming `what` and the value."""
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f"{what} must be a list of strings, not {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class CountsRecord:
     """Integer shot counts per outcome label for one context."""
@@ -64,7 +71,7 @@ class NoiseModel:
         if self.readout_flip is not None:
             flip = np.asarray(self.readout_flip, dtype=float)
             if flip.shape != (2, 2):
-                raise ValueError("readout_flip must be 2x2")
+                raise ValueError(f"readout_flip must be 2x2, not {self.readout_flip!r}")
             if flip.min() < 0.0 or np.abs(flip.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError("readout_flip rows must be probabilities")
             object.__setattr__(

@@ -271,6 +271,97 @@ def test_malformed_counts_file_is_named(tmp_path, capsys):
         )
 
 
+def _without(field):
+    def edit(data):
+        del data[field]
+        return data
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without("shots"), "counts file lacks the 'shots' field"),
+        (_without("context"), "counts file lacks the 'context' field"),
+        (_without("counts"), "counts file lacks the 'counts' field"),
+        (lambda data: [data], "counts file lacks the 'context' field"),
+        (
+            lambda data: {**data, "counts": [5, 3]},
+            "counts file 'counts' must be an object, not [5, 3]",
+        ),
+        (
+            lambda data: {**data, "context": "XX,XI"},
+            "counts file 'context' must be a list of strings, not 'XX,XI'",
+        ),
+        (
+            lambda data: {**data, "context": ["XX", 1]},
+            "counts file 'context' must be a list of strings, not ['XX', 1]",
+        ),
+    ],
+    ids=("no-shots", "no-context", "no-counts", "list-file", "counts-list",
+         "context-string", "context-number"),
+)
+def test_counts_file_with_a_bad_field_is_named(tmp_path, capsys, edit, message):
+    # each used to end in a KeyError, TypeError or AttributeError traceback
+    counts_dir = tmp_path / "counts"
+    run_cli("sample", "--preset", "s1", "--out", str(counts_dir))
+    capsys.readouterr()
+    bad = counts_dir / "pair_x1x2.json"
+    bad.write_text(json.dumps(edit(json.loads(bad.read_text()))))
+    paths = sorted(str(p) for p in counts_dir.glob("*.json"))
+    code = run_cli("nc-check", "--counts", *paths)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"observable_set": [1, 2, 3]},
+            "observable_set other than a set name must be a list of strings, "
+            "not [1, 2, 3]",
+        ),
+        (
+            {"observable_set": 5},
+            "observable_set other than a set name must be a list of strings, not 5",
+        ),
+        ({"noise": {"readout_flip": 5}}, "readout_flip must be 2x2, not 5"),
+        ({"noise": {"readout_flip": []}}, "readout_flip must be 2x2, not []"),
+        (
+            {"state": {"amplitudes": [[0], 1, 0, 0]}},
+            "state amplitudes must be a list of numbers or [re, im] pairs, "
+            "not [[0], 1, 0, 0]",
+        ),
+        (
+            {"state": {"amplitudes": 5}},
+            "state amplitudes must be a list of numbers or [re, im] pairs, not 5",
+        ),
+        (
+            {"state": {"amplitudes": "1111"}},
+            "state amplitudes must be a list of numbers or [re, im] pairs, "
+            "not '1111'",
+        ),
+    ],
+    ids=("set-of-numbers", "set-number", "flip-number", "flip-empty",
+         "amplitude-list", "amplitudes-number", "amplitudes-string"),
+)
+def test_config_with_a_malformed_value_is_named(tmp_path, capsys, data, message):
+    # the first, third and fifth used to end in a TypeError traceback; an
+    # empty readout_flip used to mean no readout noise and a string of four
+    # digits four amplitudes
+    config_file = tmp_path / "bad.json"
+    config_file.write_text(json.dumps(data))
+    code = run_cli("simulate", "--config", str(config_file))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_fit_noise_uses_coarse_fallback_like_simulate(tmp_path, capsys):
     # YYZ has no local basis shared with XXI or ZZI; its pairs read full
     # 3-bit records in simulate and fit-noise alike, with no fallback flag

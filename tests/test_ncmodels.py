@@ -152,7 +152,7 @@ def test_lp_feasible_for_ideal_preset():
     assert lp.feasible is True
     assert json.dumps(lp.feasible) == "true"
     for bad in (-1e-9, np.nan, np.inf):
-        for solve in (lp_feasibility, ncmodels._lp_feasibility_rows):
+        for solve in (lp_feasibility, ncmodels._feasible_rows):
             block = rows if solve is lp_feasibility else np.stack([rows, rows])
             with pytest.raises(ValueError, match="tolerance must be a finite number"):
                 solve(block, 5, bad)
@@ -279,7 +279,7 @@ def each_solve(rows):
     three blocks whose middle one is those rows."""
     good = np.full(rows.shape, 0.25)
     yield lambda n: lp_feasibility(rows, n)
-    yield lambda n: ncmodels._lp_feasibility_rows(np.stack([good, rows, good]), n, 1e-9)
+    yield lambda n: ncmodels._feasible_rows(np.stack([good, rows, good]), n, 1e-9)
 
 
 def test_lp_rejects_pair_rows_of_the_wrong_shape():
@@ -438,7 +438,7 @@ def test_simplex_pivots_match_loop_reference(n):
     a0 = np.vstack([pair_indicators(n), np.ones(2**n)])
     assert np.array_equal(ncmodels._pair_constraints(n), a0)
     rng = np.random.default_rng([20260825, n])
-    kinds, rhs, optima = [], [], []
+    rhs, totals = [], []
     for _ in range(3 if n <= 7 else 1):
         for kind, p in pivot_instances(n, rng):
             b = np.append(p, 1.0)
@@ -446,15 +446,20 @@ def test_simplex_pivots_match_loop_reference(n):
             ref_weights, ref_total = reference_simplex_min_violation(a0, b)
             assert np.array_equal(weights, ref_weights), kind
             assert total == ref_total, kind
-            kinds.append(kind)
             rhs.append(b)
-            optima.append((weights, total))
-    # every instance in one lock-step batch: the same pivots, bit for bit
-    batch = ncmodels._simplex_min_violation_batch(a0, np.array(rhs))
-    assert len(batch) == len(kinds)
-    for kind, (weights, total), (got_weights, got_total) in zip(kinds, optima, batch):
-        assert np.array_equal(got_weights, weights), kind
-        assert type(got_total) is float and got_total == total, kind
+            totals.append(total)
+    # every instance in one lock-step batch gives the one-row verdict, at
+    # fixed tolerances and at tolerances one ulp and 1e-9 either side of an
+    # optimum, so some rows sit just above and some just below it
+    optima = sorted(set(totals) - {0.0})[:: 1 if n <= 7 else 3]
+    assert optima
+    tolerances = [0.0, 1e-12, 1e-9, 1e-6, 0.05, 0.232]
+    for total in optima:
+        tolerances += [total, np.nextafter(total, 0.0), np.nextafter(total, 1.0)]
+        tolerances += [total * (1 - 1e-9), total * (1 + 1e-9)]
+    for tolerance in tolerances:
+        got = ncmodels._simplex_min_violation_batch(a0, np.array(rhs), tolerance)
+        assert got.tolist() == [total <= tolerance for total in totals], tolerance
 
 
 def test_batch_ratio_test_matches_the_sequential_one(monkeypatch):

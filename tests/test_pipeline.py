@@ -293,7 +293,8 @@ def test_write_sampled_counts_solves_no_lp_and_writes_no_report(
     def no_lp(*args, **kwargs):
         raise AssertionError("write_sampled_counts solved an LP")
 
-    monkeypatch.setattr(pipeline, "_lp_feasibility_rows", no_lp)
+    monkeypatch.setattr(pipeline, "lp_feasibility", no_lp)
+    monkeypatch.setattr(pipeline, "_feasible_rows", no_lp)
     paths = write_sampled_counts(config, tmp_path / "counts")
     assert not report.exists()
     contexts = cycle_contexts(resolve_observables(config.observable_set), convention)
@@ -374,7 +375,8 @@ def test_reproduce_reference_solves_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("reproduce_reference solved an LP")
 
-    monkeypatch.setattr(pipeline, "_lp_feasibility_rows", no_lp)
+    monkeypatch.setattr(pipeline, "lp_feasibility", no_lp)
+    monkeypatch.setattr(pipeline, "_feasible_rows", no_lp)
     result = reproduce_reference()
     for (name, conv), m in expected.items():
         assert result["runs"][name]["ideal_m"][conv] == m
@@ -496,33 +498,66 @@ def test_sweep_of_a_violating_cycle_matches_facets_and_runs():
 def test_sweep_batches_match_one_lp_per_point(monkeypatch):
     # more points than one lock-step chunk, the last chunk ragged, on the
     # violating cycle above so the grid holds both verdicts: each point's
-    # verdict, residual, total and witness are lp_feasibility's on its pairs
+    # verdict is lp_feasibility's on its pairs, at the sweep's tolerance and
+    # at others, and a Python bool
     solved = []
-    batched = pipeline._lp_feasibility_rows
+    batched = pipeline._feasible_rows
 
     def spy(rows, n, tolerance):
-        results = batched(rows, n, tolerance)
-        solved.append((rows, n, tolerance, results))
-        return results
+        verdicts = batched(rows, n, tolerance)
+        solved.append((rows, n, tolerance, verdicts))
+        return verdicts
 
-    monkeypatch.setattr(pipeline, "_lp_feasibility_rows", spy)
+    monkeypatch.setattr(pipeline, "_feasible_rows", spy)
     chunk = ncmodels._BATCH_ROWS
     alphas = np.linspace(-np.pi, np.pi, chunk // 8 + 1) + 0.01
     betas = np.linspace(-np.pi, np.pi, 9) + 0.01
     rows = sweep("s1", alphas, betas, ("ZY", "IY", "XY", "YZ"))
-    [(pair_rows, n, tolerance, results)] = solved
+    [(pair_rows, n, tolerance, verdicts)] = solved
     assert len(rows) == len(pair_rows) > chunk and len(rows) % chunk != 0
-    assert [row[4] for row in rows] == [lp.feasible for lp in results]
+    assert all(type(row[4]) is bool for row in rows)
+    assert [row[4] for row in rows] == verdicts
     assert {row[4] for row in rows} == {True, False}
-    for point, lp in zip(pair_rows, results):
-        one = lp_feasibility(point, n, tolerance)
-        assert lp.feasible is one.feasible
-        assert lp.max_constraint_violation == one.max_constraint_violation
-        assert lp.total_violation == one.total_violation
-        if one.witness is None:
-            assert lp.witness is None
-        else:
-            assert np.array_equal(lp.witness.weights, one.witness.weights)
+    for tol in (tolerance, 0.0, 1e-12, 1e-6, 0.05, 0.232):
+        got = verdicts if tol == tolerance else batched(pair_rows, n, tol)
+        assert got == [lp_feasibility(point, n, tol).feasible for point in pair_rows], tol
+
+
+@pytest.mark.parametrize("preset", ["s1", "s2"])
+def test_sweep_lp_takes_fewer_steps_than_its_longest_one_row_solve(monkeypatch, preset):
+    # a 6x6 grid around the preset point: every point is feasible, and a
+    # lock-step row leaves once its objective is under the tolerance, so the
+    # batch ends before the one-row solve that pivots longest to its optimum
+    spec = preset_config(preset).state
+    rng = np.random.default_rng(20261020)
+    alphas = np.sort(np.append(rng.uniform(-np.pi, np.pi, 5), spec.alpha))
+    betas = np.sort(np.append(rng.uniform(-np.pi, np.pi, 5), spec.beta))
+    observables = preset_config(preset).observable_set
+    calls, grids = [], []
+    batch_leaving, bland_leaving, batched = (
+        ncmodels._batch_leaving,
+        ncmodels._bland_leaving,
+        pipeline._feasible_rows,
+    )
+    monkeypatch.setattr(
+        ncmodels, "_batch_leaving", lambda *args: calls.append(1) or batch_leaving(*args)
+    )
+    monkeypatch.setattr(
+        pipeline, "_feasible_rows", lambda *args: grids.append(args) or batched(*args)
+    )
+    rows = sweep(preset, alphas, betas, observables)
+    assert len(rows) == 36 and all(row[4] is True for row in rows)
+    steps = len(calls)
+    monkeypatch.setattr(
+        ncmodels, "_bland_leaving", lambda *args: calls.append(1) or bland_leaving(*args)
+    )
+    [(pair_rows, n, tolerance)] = grids
+    pivots = []
+    for point in pair_rows:
+        calls.clear()
+        assert lp_feasibility(point, n, tolerance).feasible
+        pivots.append(len(calls))
+    assert 0 < steps < max(pivots)
 
 
 def test_lp_tolerance_for_refuses_a_shot_count_it_would_truncate():
