@@ -19,8 +19,8 @@ from .contexts import OutcomeDistribution, coarse_labels
 from .entropy import _pair_key, _rekey, cycle_pair_keys, cycle_single_keys
 from .entropy import entropy_rows, evaluate_m_cycle, shannon_entropy
 
-# The LP tableau is (4n + 1) x (2^n + 8n + 3): one solve takes 2-5 s at n = 13
-# and about 12 s at n = 14 on a 2-vCPU x86 machine.
+# One random-model LP takes about 0.5 s at n = 13 and 1-2 s at n = 14 (2-vCPU x86):
+# pricing reads all 2^n columns per pivot. Raising the limit is a logged decision.
 MAX_OBSERVABLES = 13
 _PAIR_LABELS = coarse_labels(2)
 
@@ -164,32 +164,35 @@ def _optimum(rhs: np.ndarray, basis, cost: np.ndarray, n_w: int) -> tuple:
 def _simplex_min_violation(a0: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """min sum(u + v) s.t. a0 @ w + u - v = b, all variables >= 0.
 
-    Dense tableau simplex, Bland's rule throughout (lowest eligible index
-    enters; among tied ratios the lowest basis index leaves), so the solve
-    is deterministic and cannot cycle. The optimum is the least total
-    marginal violation any mixture can achieve.
+    Revised simplex on [binv | xb], the basis inverse and basic values, priced
+    from y = cost[basis] @ binv; Bland's rule throughout (lowest eligible index
+    enters, w then u then v; among tied ratios the lowest basis index leaves)
+    keeps it deterministic and acyclic. The optimum is the least total violation.
     """
     m, n_w = a0.shape
-    tableau = np.hstack([a0, np.eye(m), -np.eye(m), b.reshape(-1, 1)])
+    tableau = np.hstack([np.eye(m), b.reshape(-1, 1)])  # from the basis u = b >= 0
+    binv, xb, basis = tableau[:, :m], tableau[:, -1], np.arange(n_w, n_w + m)
     cost = np.concatenate([np.zeros(n_w), np.ones(2 * m)])
-    basis = list(range(n_w, n_w + m))  # u_i = b_i >= 0 is a valid start
-    n_cols = n_w + 2 * m
     while True:
-        reduced = cost - cost[basis] @ tableau[:, :n_cols]
-        eligible = reduced < -_PIVOT_EPS
+        y = cost[basis] @ binv
+        eligible = y @ a0 > _PIVOT_EPS  # reduced cost 0 - y a0 < -eps
         entering = int(eligible.argmax())  # Bland: the lowest eligible index
-        if not eligible[entering]:
-            break
-        column, rhs = tableau[:, entering].tolist(), tableau[:, -1].tolist()
-        leaving = _bland_leaving(column, rhs, basis)
+        if not eligible[entering]:  # the slacks: 1 - y for u, then 1 - (-y) for v
+            eligible = np.concatenate([1.0 - y, 1.0 + y]) < -_PIVOT_EPS
+            entering = n_w + int(eligible.argmax())
+            if not eligible[entering - n_w]:
+                break
+        side, k = divmod(entering - n_w, m)  # side < 0: a w column; 0: u_k; 1: v_k
+        column = binv @ a0[:, entering] if side < 0 else binv[:, k] * (1.0, -1.0)[side]
+        leaving = _bland_leaving(column.tolist(), xb.tolist(), basis.tolist())
         if leaving < 0:
             raise RuntimeError("violation LP reported unbounded")
         # per entry the same multiply and subtract as row-by-row elimination
-        pivot_row = tableau[leaving] / tableau[leaving, entering]
-        tableau -= tableau[:, entering, None] * pivot_row
+        pivot_row = tableau[leaving] / column[leaving]
+        tableau -= column[:, None] * pivot_row
         tableau[leaving] = pivot_row
         basis[leaving] = entering
-    return _optimum(tableau[:, -1], basis, cost, n_w)
+    return _optimum(xb, basis, cost, n_w)
 
 
 def _batch_leaving(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
@@ -210,13 +213,13 @@ def _batch_leaving(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
 
 
 def _simplex_min_violation_batch(a0: np.ndarray, b: np.ndarray, tolerance):
-    """Is _simplex_min_violation's optimum at most `tolerance`, for each row of
-    a (B, m) right-hand side? One lock step pivots every unfinished row as the
-    one-row solve does, with the same product per entry. A row leaves feasible
-    once its objective, the sum of its clipped basic slack values, is _PIVOT_EPS
-    under `tolerance` (it never rises but by rounding), or at its optimum with
-    _optimum's total. The v block is always the u block negated, bit for bit
-    (elimination is sign-symmetric), so the tableau is [a0 | u | rhs]."""
+    """Is the violation LP's optimum at most `tolerance`, for each row of a
+    (B, m) right-hand side? One lock step pivots every unfinished row by Bland's
+    rule as a dense tableau simplex does, with its product per entry. A row leaves
+    feasible once its objective, the sum of its clipped basic slack values, is
+    _PIVOT_EPS under `tolerance` (it never rises but by rounding), or at its
+    optimum with _optimum's total. The v block is always the u block negated,
+    bit for bit (elimination is sign-symmetric), so the tableau is [a0 | u | rhs]."""
     (size, m), n_w = b.shape, a0.shape[1]
     n_half = n_w + m
     tableau = np.empty((size, m, n_half + 1))
@@ -268,6 +271,9 @@ def _pair_rows(pair_dists, n: int) -> np.ndarray:
             if (i, j) not in keyed:
                 raise ValueError(f"missing pair distribution for X{i}X{j}")
             dist = keyed[(i, j)]
+            if isinstance(dist, OutcomeDistribution) and dist.labels == _PAIR_LABELS:
+                listed.append(dist.probs)  # as_dict() in label order, unparsed
+                continue
             if not isinstance(dist, OutcomeDistribution):
                 probs = np.array([float(p) for p in dist.values()])
                 dist = OutcomeDistribution(tuple(dist), probs)
@@ -323,11 +329,11 @@ def lp_feasibility(
     """Does a mixture of assignments reproduce all adjacent-pair marginals?
 
     Marginal matching is folded into the objective (minimum total absolute
-    violation); feasible means that minimum is at most `tolerance`, which
-    lets inconsistent-but-close sampled marginals pass at a loose tolerance
-    while exact inputs are held to 1e-9. Inconsistencies between contexts
-    (for example two pairs implying different singles) surface as
-    infeasibility, never as an exception.
+    violation); feasible means that minimum is at most `tolerance`: loose for
+    inconsistent-but-close sampled marginals, 1e-9 for exact inputs, and under
+    about 1e-12 decided by rounding (exact data can reach an optimum of 1e-16).
+    Inconsistencies between contexts (for example two pairs implying different
+    singles) surface as infeasibility, never as an exception.
 
     `pair_dists` is an (n, 4) array of coarse pair rows, in cycle order
     (1, 2), ..., (n, 1) and columns (+,+), (+,-), (-,+), (-,-), or a mapping
@@ -339,8 +345,7 @@ def lp_feasibility(
     max_violation = float(np.abs(a0 @ w - b).max())
     feasible = bool(total <= tolerance)
     witness = None
-    if feasible:
-        w = np.clip(w, 0.0, None)
+    if feasible:  # _optimum's weights are clipped at 0
         norm = w.sum()
         witness = NCModel(w / norm) if norm > 0 else NCModel.uniform(n)
     return FeasibilityResult(feasible, witness, max_violation, total)

@@ -478,6 +478,13 @@ def _reject_unknown(section: str, data: dict, known: tuple[str, ...]) -> None:
         )
 
 
+def _number(where: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} must be a number, not {value!r}") from None
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Config from its JSON form; unknown keys are rejected, not ignored."""
     _reject_unknown("config", data, tuple(f.name for f in fields(ExperimentConfig)))
@@ -497,14 +504,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     else:
         state = StatePrepSpec(
             family=state_d.get("family", "s1"),
-            alpha=float(state_d.get("alpha", 0.0)),
-            beta=float(state_d.get("beta", 0.0)),
+            alpha=_number("state alpha", state_d.get("alpha", 0.0)),
+            beta=_number("state beta", state_d.get("beta", 0.0)),
         )
     noise = None
     if "noise" in data and data["noise"] is not None:
         noise_d = data["noise"]
         _reject_unknown("noise", noise_d, ("epsilon", "readout_flip"))
-        epsilon = float(noise_d.get("epsilon", 0.0))
+        epsilon = _number("noise epsilon", noise_d.get("epsilon", 0.0))
         noise = NoiseModel(epsilon, noise_d.get("readout_flip"))
     observable_set = data.get("observable_set", "table1")
     if not isinstance(observable_set, str):

@@ -69,7 +69,10 @@ class NoiseModel:
         if not 0.0 <= self.depolarizing_epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.readout_flip is not None:
-            flip = np.asarray(self.readout_flip, dtype=float)
+            try:
+                flip = np.asarray(self.readout_flip, dtype=float)
+            except (TypeError, ValueError):  # ragged, or not numbers
+                flip = np.array(None)
             if flip.shape != (2, 2):
                 raise ValueError(f"readout_flip must be 2x2, not {self.readout_flip!r}")
             if flip.min() < 0.0 or np.abs(flip.sum(axis=1) - 1.0).max() > 1e-9:

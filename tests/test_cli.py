@@ -345,14 +345,29 @@ def test_counts_file_with_a_bad_field_is_named(tmp_path, capsys, edit, message):
             "state amplitudes must be a list of numbers or [re, im] pairs, "
             "not '1111'",
         ),
+        ({"state": {"alpha": "x"}}, "state alpha must be a number, not 'x'"),
+        ({"state": {"beta": [1.0]}}, "state beta must be a number, not [1.0]"),
+        ({"noise": {"epsilon": None}}, "noise epsilon must be a number, not None"),
+        ({"noise": {"epsilon": "0.1x"}}, "noise epsilon must be a number, not '0.1x'"),
+        (
+            {"noise": {"readout_flip": [[1, 0], [0]]}},
+            "readout_flip must be 2x2, not [[1, 0], [0]]",
+        ),
+        (
+            {"noise": {"readout_flip": [["a", "b"], ["c", "d"]]}},
+            "readout_flip must be 2x2, not [['a', 'b'], ['c', 'd']]",
+        ),
     ],
     ids=("set-of-numbers", "set-number", "flip-number", "flip-empty",
-         "amplitude-list", "amplitudes-number", "amplitudes-string"),
+         "amplitude-list", "amplitudes-number", "amplitudes-string",
+         "alpha-string", "beta-list", "epsilon-null", "epsilon-string",
+         "flip-ragged", "flip-strings"),
 )
 def test_config_with_a_malformed_value_is_named(tmp_path, capsys, data, message):
     # the first, third and fifth used to end in a TypeError traceback; an
     # empty readout_flip used to mean no readout noise and a string of four
-    # digits four amplitudes
+    # digits four amplitudes; the last six used to print float()'s or numpy's
+    # message, which names neither the key nor the value
     config_file = tmp_path / "bad.json"
     config_file.write_text(json.dumps(data))
     code = run_cli("simulate", "--config", str(config_file))

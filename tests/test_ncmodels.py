@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -307,46 +308,113 @@ def test_lp_rejects_negative_pair_rows():
             solve(5)
 
 
+def reference_ratio_test(column, rhs, basis):
+    """Bland's ratio test with epsilon ties, written out."""
+    eps = ncmodels._PIVOT_EPS
+    leaving = -1
+    best_ratio = np.inf
+    for i in range(len(column)):
+        if column[i] > eps:
+            ratio = rhs[i] / column[i]
+            if ratio < best_ratio - eps or (
+                abs(ratio - best_ratio) <= eps
+                and (leaving < 0 or basis[i] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = i
+    if leaving < 0:
+        raise RuntimeError("violation LP reported unbounded")
+    return leaving
+
+
+def reference_first_eligible(reduced):
+    for j in range(reduced.size):
+        if reduced[j] < -ncmodels._PIVOT_EPS:
+            return j
+    return -1
+
+
 def reference_simplex_min_violation(a0, b):
-    """The loop-based simplex the vectorized one must match pivot for pivot."""
-    _PIVOT_EPS = ncmodels._PIVOT_EPS
+    """The loop-based dense tableau simplex: weights, total and the basis at
+    the start and after each pivot."""
     m, n_w = a0.shape
     full = np.hstack([a0, np.eye(m), -np.eye(m)])
     cost = np.concatenate([np.zeros(n_w), np.ones(2 * m)])
     tableau = np.hstack([full, b.reshape(-1, 1)])
     basis = list(range(n_w, n_w + m))  # u_i = b_i >= 0 is a valid start
+    bases = [tuple(basis)]
     n_cols = full.shape[1]
     while True:
         reduced = cost - cost[basis] @ tableau[:, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if reduced[j] < -_PIVOT_EPS:
-                entering = j
-                break
+        entering = reference_first_eligible(reduced)
         if entering < 0:
             break
-        column = tableau[:, entering]
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(m):
-            if column[i] > _PIVOT_EPS:
-                ratio = tableau[i, -1] / column[i]
-                if ratio < best_ratio - _PIVOT_EPS or (
-                    abs(ratio - best_ratio) <= _PIVOT_EPS
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            raise RuntimeError("violation LP reported unbounded")
+        leaving = reference_ratio_test(tableau[:, entering], tableau[:, -1], basis)
         tableau[leaving] /= tableau[leaving, entering]
         for i in range(m):
             if i != leaving:
                 tableau[i] -= tableau[i, entering] * tableau[leaving]
         basis[leaving] = entering
+        bases.append(tuple(basis))
     solution = np.zeros(n_cols)
     solution[basis] = np.clip(tableau[:, -1], 0.0, None)
-    return solution[:n_w], float(cost @ solution)
+    return solution[:n_w], float(cost @ solution), bases
+
+
+def reference_revised_simplex(a0, b):
+    """The loop-based revised simplex the vectorized one must match bit for
+    bit: [binv | xb] eliminated row by row, columns priced from
+    y = cost[basis] @ binv in the order w, u, v."""
+    m, n_w = a0.shape
+    cost = np.concatenate([np.zeros(n_w), np.ones(2 * m)])
+    tableau = np.hstack([np.eye(m), b.reshape(-1, 1)])
+    binv = tableau[:, :m]
+    basis = list(range(n_w, n_w + m))
+    bases = [tuple(basis)]
+    while True:
+        y = cost[basis] @ binv
+        reduced = np.concatenate([0.0 - y @ a0, 1.0 - y, 1.0 - (-y)])
+        entering = reference_first_eligible(reduced)
+        if entering < 0:
+            break
+        if entering < n_w:
+            column = binv @ a0[:, entering]
+        elif entering < n_w + m:
+            column = binv[:, entering - n_w].copy()
+        else:
+            column = -binv[:, entering - n_w - m]
+        leaving = reference_ratio_test(column, tableau[:, -1], basis)
+        pivot_row = tableau[leaving] / column[leaving]
+        for i in range(m):
+            if i != leaving:
+                tableau[i] -= column[i] * pivot_row
+        tableau[leaving] = pivot_row
+        basis[leaving] = entering
+        bases.append(tuple(basis))
+    solution = np.zeros(cost.size)
+    solution[basis] = np.clip(tableau[:, -1], 0.0, None)
+    return solution[:n_w], float(cost @ solution), bases
+
+
+def traced_simplex(monkeypatch, a0, b):
+    """ncmodels._simplex_min_violation's weights and total, and the basis it
+    held at each ratio test and at its optimum."""
+    bases = []
+    bland, optimum = ncmodels._bland_leaving, ncmodels._optimum
+
+    def spy_bland(column, rhs, basis):
+        bases.append(tuple(basis))
+        return bland(column, rhs, basis)
+
+    def spy_optimum(rhs, basis, cost, n_w):
+        bases.append(tuple(basis))
+        return optimum(rhs, basis, cost, n_w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ncmodels, "_bland_leaving", spy_bland)
+        patch.setattr(ncmodels, "_optimum", spy_optimum)
+        weights, total = ncmodels._simplex_min_violation(a0, b)
+    return weights, total, bases
 
 
 def pair_indicators(n):
@@ -433,24 +501,36 @@ def pivot_instances(n, rng):
     yield "odd_cycle_c1", odd_cycle_pairs(n, rng, 1.0)
 
 
-@pytest.mark.parametrize("n", range(3, 10))
-def test_simplex_pivots_match_loop_reference(n):
+@functools.lru_cache(maxsize=None)
+def dense_solved_instances(n):
+    """(kind, b, dense reference result) for each pivot instance at n."""
     a0 = np.vstack([pair_indicators(n), np.ones(2**n)])
-    assert np.array_equal(ncmodels._pair_constraints(n), a0)
     rng = np.random.default_rng([20260825, n])
-    rhs, totals = [], []
+    solved = []
     for _ in range(3 if n <= 7 else 1):
         for kind, p in pivot_instances(n, rng):
             b = np.append(p, 1.0)
-            weights, total = ncmodels._simplex_min_violation(a0, b)
-            ref_weights, ref_total = reference_simplex_min_violation(a0, b)
-            assert np.array_equal(weights, ref_weights), kind
-            assert total == ref_total, kind
-            rhs.append(b)
-            totals.append(total)
-    # every instance in one lock-step batch gives the one-row verdict, at
-    # fixed tolerances and at tolerances one ulp and 1e-9 either side of an
-    # optimum, so some rows sit just above and some just below it
+            solved.append((kind, b, reference_simplex_min_violation(a0, b)))
+    return a0, solved
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_simplex_pivots_match_loop_reference(n, monkeypatch):
+    a0, solved = dense_solved_instances(n)
+    assert np.array_equal(ncmodels._pair_constraints(n), a0)
+    rhs, totals = [], []
+    for kind, b, (_, dense_total, _) in solved:
+        weights, total, bases = traced_simplex(monkeypatch, a0, b)
+        ref_weights, ref_total, ref_bases = reference_revised_simplex(a0, b)
+        assert bases == ref_bases, kind
+        assert np.array_equal(weights, ref_weights), kind
+        assert total == ref_total, kind
+        rhs.append(b)
+        totals.append(dense_total)
+    # every instance in one lock-step batch gives the dense reference's
+    # verdict, whose arithmetic the batch keeps, at fixed tolerances and at
+    # tolerances one ulp and 1e-9 either side of an optimum, so some rows
+    # sit just above and some just below it
     optima = sorted(set(totals) - {0.0})[:: 1 if n <= 7 else 3]
     assert optima
     tolerances = [0.0, 1e-12, 1e-9, 1e-6, 0.05, 0.232]
@@ -460,6 +540,34 @@ def test_simplex_pivots_match_loop_reference(n):
     for tolerance in tolerances:
         got = ncmodels._simplex_min_violation_batch(a0, np.array(rhs), tolerance)
         assert got.tolist() == [total <= tolerance for total in totals], tolerance
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_revised_simplex_takes_the_dense_reference_pivots(n, monkeypatch):
+    # the basis inverse and the dense tableau round differently, but on
+    # these instances no rounding difference reaches a pivot decision
+    a0, solved = dense_solved_instances(n)
+    for kind, b, (ref_weights, ref_total, ref_bases) in solved:
+        weights, total, bases = traced_simplex(monkeypatch, a0, b)
+        assert bases == ref_bases, kind
+        assert np.abs(weights - ref_weights).max() <= 1e-12, kind
+        assert abs(total - ref_total) <= 1e-12, kind
+        for tolerance in (1e-9, lp_tolerance_for(n, 8192)):
+            result = lp_feasibility(b[:-1].reshape(n, 4), n, tolerance)
+            assert result.feasible == (ref_total <= tolerance), (kind, tolerance)
+
+
+def test_lp_solves_an_eleven_cycle_model_to_its_marginals():
+    rng = np.random.default_rng(20261020)
+    model = NCModel(rng.dirichlet(np.ones(2**11)))
+    pairs = model_marginals(model).pairs
+    result = lp_feasibility(pairs, 11)
+    assert result.feasible
+    assert result.total_violation <= 1e-9
+    assert result.max_constraint_violation <= 1e-9
+    witness = model_marginals(result.witness).pairs
+    residual = max(np.abs(witness[key].probs - pairs[key].probs).max() for key in pairs)
+    assert residual <= 1e-9
 
 
 def test_batch_ratio_test_matches_the_sequential_one(monkeypatch):
