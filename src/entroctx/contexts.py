@@ -50,7 +50,7 @@ class MeasurementContext:
         return ",".join(str(o) for o in self.observables)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeDistribution:
     """Labeled probability vector for one measurement context."""
 

@@ -361,20 +361,37 @@ def reference_simplex_min_violation(a0, b):
     return solution[:n_w], float(cost @ solution), bases
 
 
+def reference_most_negative(reduced):
+    """The most negative reduced cost under -eps, the lowest index on ties."""
+    entering, best = -1, -ncmodels._PIVOT_EPS
+    for j in range(reduced.size):
+        if reduced[j] < best:
+            entering, best = j, reduced[j]
+    return entering
+
+
 def reference_revised_simplex(a0, b):
     """The loop-based revised simplex the vectorized one must match bit for
     bit: [binv | xb] eliminated row by row, columns priced from
-    y = cost[basis] @ binv in the order w, u, v."""
+    y = cost[basis] @ binv in the order w, u, v. The most negative reduced
+    cost enters; after m degenerate pivots in a row (step <= eps) the lowest
+    eligible index does, until a step moves. Also returns how many pivots
+    that fallback made on another column than the most negative."""
     m, n_w = a0.shape
     cost = np.concatenate([np.zeros(n_w), np.ones(2 * m)])
     tableau = np.hstack([np.eye(m), b.reshape(-1, 1)])
     binv = tableau[:, :m]
     basis = list(range(n_w, n_w + m))
     bases = [tuple(basis)]
+    stalled = fallbacks = 0
     while True:
         y = cost[basis] @ binv
         reduced = np.concatenate([0.0 - y @ a0, 1.0 - y, 1.0 - (-y)])
-        entering = reference_first_eligible(reduced)
+        if stalled < m:
+            entering = reference_most_negative(reduced)
+        else:
+            entering = reference_first_eligible(reduced)
+            fallbacks += entering != reference_most_negative(reduced)
         if entering < 0:
             break
         if entering < n_w:
@@ -385,6 +402,7 @@ def reference_revised_simplex(a0, b):
             column = -binv[:, entering - n_w - m]
         leaving = reference_ratio_test(column, tableau[:, -1], basis)
         pivot_row = tableau[leaving] / column[leaving]
+        stalled = stalled + 1 if pivot_row[-1] <= ncmodels._PIVOT_EPS else 0
         for i in range(m):
             if i != leaving:
                 tableau[i] -= column[i] * pivot_row
@@ -393,7 +411,7 @@ def reference_revised_simplex(a0, b):
         bases.append(tuple(basis))
     solution = np.zeros(cost.size)
     solution[basis] = np.clip(tableau[:, -1], 0.0, None)
-    return solution[:n_w], float(cost @ solution), bases
+    return solution[:n_w], float(cost @ solution), bases, fallbacks
 
 
 def traced_simplex(monkeypatch, a0, b):
@@ -499,6 +517,7 @@ def pivot_instances(n, rng):
     yield "point", ind[:, int(rng.integers(2**n))]
     yield "uniform", ind @ NCModel.uniform(n).weights
     yield "odd_cycle_c1", odd_cycle_pairs(n, rng, 1.0)
+    yield "three_points", ind[:, rng.choice(2**n, 3, replace=False)].mean(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -521,7 +540,7 @@ def test_simplex_pivots_match_loop_reference(n, monkeypatch):
     rhs, totals = [], []
     for kind, b, (_, dense_total, _) in solved:
         weights, total, bases = traced_simplex(monkeypatch, a0, b)
-        ref_weights, ref_total, ref_bases = reference_revised_simplex(a0, b)
+        ref_weights, ref_total, ref_bases, _ = reference_revised_simplex(a0, b)
         assert bases == ref_bases, kind
         assert np.array_equal(weights, ref_weights), kind
         assert total == ref_total, kind
@@ -544,30 +563,66 @@ def test_simplex_pivots_match_loop_reference(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_revised_simplex_takes_the_dense_reference_pivots(n, monkeypatch):
-    # the basis inverse and the dense tableau round differently, but on
-    # these instances no rounding difference reaches a pivot decision
+    # the entering rules differ (most negative reduced cost against the
+    # lowest eligible index), so the two solves take other pivots and may end
+    # on another vertex of a degenerate optimum; the optimum and the verdict
+    # are the same
     a0, solved = dense_solved_instances(n)
-    for kind, b, (ref_weights, ref_total, ref_bases) in solved:
-        weights, total, bases = traced_simplex(monkeypatch, a0, b)
-        assert bases == ref_bases, kind
-        assert np.abs(weights - ref_weights).max() <= 1e-12, kind
+    for kind, b, (_, ref_total, _) in solved:
+        _, total = ncmodels._simplex_min_violation(a0, b)
         assert abs(total - ref_total) <= 1e-12, kind
         for tolerance in (1e-9, lp_tolerance_for(n, 8192)):
             result = lp_feasibility(b[:-1].reshape(n, 4), n, tolerance)
             assert result.feasible == (ref_total <= tolerance), (kind, tolerance)
 
 
-def test_lp_solves_an_eleven_cycle_model_to_its_marginals():
-    rng = np.random.default_rng(20261020)
-    model = NCModel(rng.dirichlet(np.ones(2**11)))
+def test_degenerate_solves_fall_back_to_bland_and_reach_the_optimum(monkeypatch):
+    # point models, the uniform model, odd cycles of correlator 1 and
+    # mixtures of three points stall on degenerate pivots; the mixtures at
+    # n = 8 and 9 stall m times in a row, and the lowest eligible index then
+    # enters where it is not the most negative
+    fallbacks = 0
+    for n in range(3, 10):
+        a0, solved = dense_solved_instances(n)
+        for kind, b, (_, dense_total, _) in solved:
+            if kind not in ("point", "uniform", "odd_cycle_c1", "three_points"):
+                continue
+            _, total, bases = traced_simplex(monkeypatch, a0, b)
+            _, ref_total, ref_bases, ref_fallbacks = reference_revised_simplex(a0, b)
+            assert bases == ref_bases and total == ref_total, (n, kind)
+            assert abs(total - dense_total) <= 1e-12, (n, kind)
+            fallbacks += ref_fallbacks
+    assert fallbacks > 0
+
+
+def test_lp_solves_an_eleven_cycle_model_in_few_pivots(monkeypatch):
+    # 49 pivots; the lowest-eligible-index rule takes 691 here
+    rng = np.random.default_rng(20261021)
+    b = np.append(pair_indicators(11) @ rng.dirichlet(np.ones(2**11)), 1.0)
+    _, total, bases = traced_simplex(monkeypatch, ncmodels._pair_constraints(11), b)
+    assert total <= 1e-9
+    assert len(bases) - 1 < 200
+
+
+def assert_lp_solves_a_random_model_to_its_marginals(n, seed):
+    rng = np.random.default_rng(seed)
+    model = NCModel(rng.dirichlet(np.ones(2**n)))
     pairs = model_marginals(model).pairs
-    result = lp_feasibility(pairs, 11)
+    result = lp_feasibility(pairs, n)
     assert result.feasible
     assert result.total_violation <= 1e-9
     assert result.max_constraint_violation <= 1e-9
     witness = model_marginals(result.witness).pairs
     residual = max(np.abs(witness[key].probs - pairs[key].probs).max() for key in pairs)
     assert residual <= 1e-9
+
+
+def test_lp_solves_an_eleven_cycle_model_to_its_marginals():
+    assert_lp_solves_a_random_model_to_its_marginals(11, 20261020)
+
+
+def test_lp_solves_a_model_at_the_observable_limit():
+    assert_lp_solves_a_random_model_to_its_marginals(MAX_OBSERVABLES, 20261022)
 
 
 def test_batch_ratio_test_matches_the_sequential_one(monkeypatch):

@@ -50,6 +50,7 @@ from entroctx.statevec import (
     apply_circuit,
     prepare_state,
 )
+from test_ncmodels import reference_simplex_min_violation
 
 S1_COARSE_M = -2.490998900332338
 S2_COARSE_M = -2.321121317385921
@@ -527,18 +528,15 @@ def test_sweep_batches_match_one_lp_per_point(monkeypatch):
 def test_sweep_lp_takes_fewer_steps_than_its_longest_one_row_solve(monkeypatch, preset):
     # a 6x6 grid around the preset point: every point is feasible, and a
     # lock-step row leaves once its objective is under the tolerance, so the
-    # batch ends before the one-row solve that pivots longest to its optimum
+    # batch ends before the dense Bland loop reference, whose pivots the batch
+    # takes, pivots longest to its optimum on one point
     spec = preset_config(preset).state
     rng = np.random.default_rng(20261020)
     alphas = np.sort(np.append(rng.uniform(-np.pi, np.pi, 5), spec.alpha))
     betas = np.sort(np.append(rng.uniform(-np.pi, np.pi, 5), spec.beta))
     observables = preset_config(preset).observable_set
     calls, grids = [], []
-    batch_leaving, bland_leaving, batched = (
-        ncmodels._batch_leaving,
-        ncmodels._bland_leaving,
-        pipeline._feasible_rows,
-    )
+    batch_leaving, batched = ncmodels._batch_leaving, pipeline._feasible_rows
     monkeypatch.setattr(
         ncmodels, "_batch_leaving", lambda *args: calls.append(1) or batch_leaving(*args)
     )
@@ -547,17 +545,13 @@ def test_sweep_lp_takes_fewer_steps_than_its_longest_one_row_solve(monkeypatch, 
     )
     rows = sweep(preset, alphas, betas, observables)
     assert len(rows) == 36 and all(row[4] is True for row in rows)
-    steps = len(calls)
-    monkeypatch.setattr(
-        ncmodels, "_bland_leaving", lambda *args: calls.append(1) or bland_leaving(*args)
-    )
     [(pair_rows, n, tolerance)] = grids
-    pivots = []
+    a0, pivots = ncmodels._pair_constraints(n), []
     for point in pair_rows:
-        calls.clear()
-        assert lp_feasibility(point, n, tolerance).feasible
-        pivots.append(len(calls))
-    assert 0 < steps < max(pivots)
+        _, total, bases = reference_simplex_min_violation(a0, np.append(point, 1.0))
+        assert total <= tolerance
+        pivots.append(len(bases) - 1)
+    assert 0 < len(calls) < max(pivots)
 
 
 def test_lp_tolerance_for_refuses_a_shot_count_it_would_truncate():
