@@ -11,6 +11,7 @@ than 1 bit of entropy.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,10 +62,13 @@ class OutcomeDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.labels),):
             raise ValueError("labels/probs length mismatch")
+        total = p.sum()  # NaN or infinite if an entry is
+        if not math.isfinite(total):
+            raise ValueError(f"probs must be finite, not {p.tolist()}")
         if p.min() < -1e-10:
             raise ValueError(f"negative probability {p.min()}")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {p.sum()}")
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"probabilities sum to {total}")
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
 
     def as_dict(self) -> dict:

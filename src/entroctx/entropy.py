@@ -28,6 +28,8 @@ def _prob_vector(dist) -> np.ndarray:
     p = np.asarray(dist, dtype=float)
     if p.ndim != 1:
         raise ValueError("expected a 1-D probability vector")
+    if not np.isfinite(p).all():
+        raise ValueError(f"probability vector must be finite, not {p.tolist()}")
     if p.min() < -1e-8:
         raise ValueError(f"negative probability {p.min()}")
     if abs(p.sum() - 1.0) > 1e-8:
@@ -123,6 +125,8 @@ class EntropyReport:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if self.convention not in ("coarse", "fine"):
+            raise ValueError(f"unknown convention {self.convention!r}")
         singles = {k: float(v) for k, v in _rekey(self.h_singles, _single_key).items()}
         pairs = {k: float(v) for k, v in _rekey(self.h_pairs, _pair_key).items()}
         object.__setattr__(self, "h_singles", singles)

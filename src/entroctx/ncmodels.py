@@ -9,6 +9,7 @@ each can check the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -45,10 +46,13 @@ class NCModel:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or (w.size & (w.size - 1)) != 0 or w.size < 2:
             raise ValueError("weights must cover all 2^n assignments")
+        total = w.sum()  # NaN or infinite if a weight is
+        if not math.isfinite(total):
+            raise ValueError(f"weights must be finite, not summing to {total}")
         if w.min() < 0.0:
             raise ValueError(f"negative weight {w.min()}")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()}")
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"weights sum to {total}")
         object.__setattr__(self, "weights", w)
 
     @property

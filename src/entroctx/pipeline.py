@@ -35,8 +35,8 @@ from .ncmodels import FeasibilityResult, _feasible_rows, lp_feasibility
 from .pauli import OBSERVABLE_SETS, PauliString, as_pauli, verify_cycle
 from .refdata import REFERENCE_RUNS
 from .reports import read_counts, write_counts
-from .sampling import CountsRecord, NoiseModel, apply_noise, sample_counts
-from .sampling import _integer, _texts
+from .sampling import CountsRecord, NoiseModel, sample_counts
+from .sampling import _integer, _noisy_rows, _texts
 from .statevec import (
     PRESET_S1,
     PRESET_S2,
@@ -126,28 +126,28 @@ def cycle_contexts(
     return entries
 
 
-def _analyse(entries, n: int, convention: str, lp_rows: bool = False) -> tuple:
+def _analyse(entries, n: int, convention: str) -> tuple:
     """The one analysis stage of every route.
 
     `entries` are (kind, key, ctx, rows) in cycle_contexts order, rows a
     (batch, K) array of probabilities over the context's fine records or
     coarse outcomes, as `convention` says. Returns the single and pair entropy
-    tables and M, each per row, and with `lp_rows` the LP's coarse pair rows,
-    (batch, n, 4) in cycle order.
+    tables and M, each per row, and the LP's coarse pair rows, (batch, n, 4)
+    in cycle order.
     """
     h: dict = {"single": {}, "pair": {}}
     coarse = []
     for kind, key, ctx, rows in entries:
         h[kind][key] = entropy_rows(rows)
-        if kind == "pair" and lp_rows:
+        if kind == "pair":
             coarse.append(rows @ binning_matrix(ctx) if convention == "fine" else rows)
     m = evaluate_m_cycle(h["pair"], h["single"], n)
-    return h["single"], h["pair"], m, np.stack(coarse, axis=1) if lp_rows else None
+    return h["single"], h["pair"], m, np.stack(coarse, axis=1)
 
 
-def _counts_dist(record: CountsRecord, ctx, convention: str) -> OutcomeDistribution:
-    """count / shots over every outcome of the context in the convention, zero
-    where a label is absent; a label that is not one of them is rejected."""
+def _counts_row(record: CountsRecord, ctx, convention: str) -> np.ndarray:
+    """count / shots, a (1, K) row over every outcome of the context in the
+    convention (0 where a label is absent); a label outside them is rejected."""
     labels = outcome_labels(ctx, convention)
     counts = np.zeros(len(labels))
     for label, count in record.counts.items():
@@ -157,7 +157,7 @@ def _counts_dist(record: CountsRecord, ctx, convention: str) -> OutcomeDistribut
                 f"context ({ctx.label_text()})"
             )
         counts[labels.index(label)] = int(count)
-    return OutcomeDistribution(labels, counts / record.shots)
+    return (counts / record.shots)[None, :]
 
 
 def lp_tolerance_for(n: int, shots: int | str) -> float:
@@ -178,17 +178,20 @@ class RunResult:
 
 
 def _result(entries, convention: str, n: int, tolerance: float, counts=None) -> RunResult:
-    """One run's (kind, key, ctx, dist) entries through the stage: its report,
-    its coarse pair distributions and the LP verdict on them."""
-    rows = [(kind, key, ctx, dist.probs[None, :]) for kind, key, ctx, dist in entries]
-    singles, pairs, m, stacked = _analyse(rows, n, convention, lp_rows=True)
+    """One run's (kind, key, ctx, rows) entries, (1, K) rows, through the stage:
+    its report, its distributions and the LP verdict on its coarse pairs."""
+    singles, pairs, m, stacked = _analyse(entries, n, convention)
     h_singles = {i: float(h[0]) for i, h in singles.items()}
     h_pairs = {key: float(h[0]) for key, h in pairs.items()}
+    dists = [
+        OutcomeDistribution(outcome_labels(ctx, convention), rows[0])
+        for _, _, ctx, rows in entries
+    ]
     return RunResult(
         report=EntropyReport(h_singles, h_pairs, float(m[0]), convention, n),
         feasibility=lp_feasibility(stacked[0], n, tolerance),
-        single_dists={key: dist for k, key, _, dist in entries if k == "single"},
-        pair_dists={key: dist for k, key, _, dist in entries if k == "pair"},
+        single_dists=dict(zip(h_singles, dists[: n - 2])),
+        pair_dists=dict(zip(h_pairs, dists[n - 2 :])),
         coarse_pairs={
             key: OutcomeDistribution(outcome_labels(ctx, "coarse"), row)
             for (_, key, ctx, _), row in zip(entries[n - 2 :], stacked[0])
@@ -207,7 +210,7 @@ def _counted(contexts, counts_by_key: dict, n: int) -> RunResult:
         raise ValueError("mixed label conventions across counts records")
     convention = "fine" if fine.pop() else "coarse"
     entries = [
-        (kind, key, ctx, _counts_dist(counts_by_key[key], ctx, convention))
+        (kind, key, ctx, _counts_row(counts_by_key[key], ctx, convention))
         for kind, key, ctx in contexts
     ]
     tolerance = lp_tolerance_for(n, min(r.shots for r in counts_by_key.values()))
@@ -215,22 +218,20 @@ def _counted(contexts, counts_by_key: dict, n: int) -> RunResult:
 
 
 def _noisy_entries(config: ExperimentConfig, observables):
-    """Exact (kind, key, ctx, dist) in cycle_contexts order, the one-state case
-    of the sweep kernel, with the config's noise applied, and for sampled
+    """Exact (kind, key, ctx, rows) in cycle_contexts order, (1, K) rows from the
+    one-state sweep kernel with the config's noise applied, and for sampled
     runs each context's counts, drawn with seed + its position in that order."""
+    conv, noise = config.convention, config.noise or NoiseModel()
     amplitudes = prepare_state(config.state).amplitudes[None, :]
-    entries = []
-    exact = _exact_entries(amplitudes, observables)[config.convention]
-    for kind, key, ctx, rows in exact:
-        dist = OutcomeDistribution(outcome_labels(ctx, config.convention), rows[0])
-        if config.noise is not None:
-            dist = apply_noise(dist, config.noise)
-        entries.append((kind, key, ctx, dist))
+    entries = [
+        (kind, key, ctx, _noisy_rows(rows, noise, outcome_labels(ctx, conv)))
+        for kind, key, ctx, rows in _exact_entries(amplitudes, observables)[conv]
+    ]
     counts: dict[object, CountsRecord] = {}
     if config.shots != EXACT:
-        for position, (_, key, ctx, dist) in enumerate(entries):
-            seed = config.seed + position
-            counts[key] = sample_counts(dist, config.shots, seed)
+        for position, (_, key, ctx, rows) in enumerate(entries):
+            dist = OutcomeDistribution(outcome_labels(ctx, conv), rows[0])
+            counts[key] = sample_counts(dist, config.shots, config.seed + position)
     return entries, counts
 
 
@@ -391,7 +392,7 @@ def sweep(
             raise ValueError(f"sweep {name} axis is empty; give at least one {name}")
     alpha, beta = np.repeat(a, b.size), np.tile(b, a.size)
     entries = _exact_entries(family_amplitudes(family, alpha, beta), observables)
-    _, _, m_coarse, coarse = _analyse(entries["coarse"], n, "coarse", lp_rows=True)
+    _, _, m_coarse, coarse = _analyse(entries["coarse"], n, "coarse")
     m_fine = _analyse(entries["fine"], n, "fine")[2]
     feasible = _feasible_rows(coarse, n, lp_tolerance_for(n, EXACT))
     points = zip(alpha.tolist(), beta.tolist(), m_coarse.tolist(), m_fine.tolist())

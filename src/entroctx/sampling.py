@@ -1,9 +1,9 @@
-"""Finite-shot sampling, distribution-level noise, and noise fitting.
+"""Finite-shot sampling, noise on probability rows, and noise fitting.
 
-Noise acts on outcome distributions, not on states: per-qubit readout
-confusion first, then depolarizing mixing toward uniform. Sampling is a
-seeded multinomial draw, so every counts table is reproducible from
-(distribution, shots, seed).
+Noise acts on (batch, K) probability rows, not on states: one readout
+confusion matrix, then depolarizing mixing toward uniform, one map for runs,
+`apply_noise` and the fit. Sampling is a seeded multinomial draw, so every
+counts table is reproducible from (distribution, shots, seed).
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ class NoiseModel:
                 flip = np.array(None)
             if flip.shape != (2, 2):
                 raise ValueError(f"readout_flip must be 2x2, not {self.readout_flip!r}")
+            if not np.isfinite(flip).all():
+                message = f"readout_flip must be finite, not {self.readout_flip!r}"
+                raise ValueError(message)
             if flip.min() < 0.0 or np.abs(flip.sum(axis=1) - 1.0).max() > 1e-9:
                 raise ValueError("readout_flip rows must be probabilities")
             object.__setattr__(
@@ -93,37 +96,34 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsRec
     return CountsRecord(shots, counts)
 
 
-def _apply_readout(dist: OutcomeDistribution, flip: np.ndarray) -> OutcomeDistribution:
-    labels = dist.labels
-    if not all(
-        isinstance(lb, str) and set(lb) <= {"0", "1"} for lb in labels
-    ):
-        raise ValueError("readout confusion needs bit-string labels")
-    width = len(labels[0])
-    if any(len(lb) != width for lb in labels) or len(labels) != 2**width:
-        raise ValueError("readout confusion needs the full bit-string record")
-    order = [int(lb, 2) for lb in labels]
-    p = np.zeros(2**width)
-    p[order] = dist.probs
-    tensor = p.reshape([2] * width)
-    for axis in range(width):
-        tensor = np.moveaxis(
-            np.tensordot(tensor, flip, axes=([axis], [0])), -1, axis
-        )
-    return OutcomeDistribution(labels, tensor.reshape(-1)[order])
+def _depolarized(rows: np.ndarray, eps) -> np.ndarray:
+    """(1 - eps) p + eps/K renormalized over the last axis; eps broadcasts."""
+    noisy = (1.0 - eps) * rows + eps / rows.shape[-1]
+    return noisy / noisy.sum(axis=-1, keepdims=True)
+
+
+def _noisy_rows(rows: np.ndarray, noise: NoiseModel, labels: tuple) -> np.ndarray:
+    """Readout confusion, then depolarizing, on (batch, K) rows over `labels`.
+    Readout is one (K, K) matrix, the 2x2 flip's Kronecker power in the labels'
+    order: [a, b] = prod over bits q of flip[a_q][b_q], reading b from record a."""
+    flip = noise.readout_flip
+    if flip is not None and flip != _IDENTITY_FLIP:
+        if not all(isinstance(lb, str) and set(lb) <= {"0", "1"} for lb in labels):
+            raise ValueError("readout confusion needs bit-string labels")
+        width = len(labels[0])
+        if any(len(lb) != width for lb in labels) or len(set(labels)) != 2**width:
+            raise ValueError("readout confusion needs the full bit-string record")
+        bits = np.array([[int(b) for b in lb] for lb in labels])
+        rows = rows @ np.prod(np.asarray(flip)[bits[:, None], bits[None, :]], axis=-1)
+    if noise.depolarizing_epsilon > 0.0:
+        rows = _depolarized(rows, noise.depolarizing_epsilon)
+    return rows
 
 
 def apply_noise(dist: OutcomeDistribution, noise: NoiseModel) -> OutcomeDistribution:
     """Readout confusion per qubit, then p -> (1-eps) p + eps/K."""
-    out = dist
-    if noise.readout_flip is not None and noise.readout_flip != _IDENTITY_FLIP:
-        out = _apply_readout(out, np.asarray(noise.readout_flip))
-    eps = noise.depolarizing_epsilon
-    if eps > 0.0:
-        k = len(out.labels)
-        probs = (1.0 - eps) * out.probs + eps / k
-        out = OutcomeDistribution(out.labels, probs / probs.sum())
-    return out
+    rows = _noisy_rows(dist.probs[None, :], noise, dist.labels)
+    return OutcomeDistribution(dist.labels, rows[0])
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,7 @@ def _entropy_mismatch(
     errors: list = [None] * len(probs)
     for k in dict.fromkeys(p.size for p in probs):
         group = [j for j, p in enumerate(probs) if p.size == k]
-        noisy = (1.0 - eps)[:, None, None] * np.array([probs[j] for j in group])
-        noisy += (eps / k)[:, None, None]
-        noisy /= noisy.sum(axis=2, keepdims=True)
+        noisy = _depolarized(np.array([probs[j] for j in group]), eps[:, None, None])
         logs = np.log2(noisy, out=np.zeros_like(noisy), where=noisy > 0.0)
         h = -(noisy * logs).sum(axis=2)
         for column, j in enumerate(group):

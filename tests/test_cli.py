@@ -7,7 +7,7 @@ import pytest
 
 from entroctx.cli import build_parser, main
 from entroctx.pipeline import config_to_dict, preset_config
-from entroctx.reports import read_entropies_file, read_report
+from entroctx.reports import read_entropies_file, read_report, report_from_dict
 
 
 def run_cli(*argv):
@@ -493,6 +493,41 @@ def test_malformed_entropy_files_exit_with_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "'h_pairs'" in captured.err
+
+
+def test_a_non_finite_readout_flip_exits_with_an_error_naming_it(tmp_path, capsys):
+    # NaN passed the 2x2 and row-sum checks, and the run then failed with a
+    # non-finite entropy that did not name the flip
+    config_file = tmp_path / "nan.json"
+    config_file.write_text('{"noise": {"readout_flip": [[NaN, 1], [0, 1]]}}')
+    code = run_cli("simulate", "--config", str(config_file))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: readout_flip must be finite, not [[nan, 1], [0, 1]]\n"
+
+
+def test_a_report_with_an_unknown_convention_is_refused(tmp_path, capsys):
+    report_file = tmp_path / "report.json"
+    assert run_cli("simulate", "--preset", "s2", "--out", str(report_file)) == 0
+    capsys.readouterr()
+    data = {**json.loads(report_file.read_text()), "convention": "bogus"}
+    with pytest.raises(ValueError, match="^unknown convention 'bogus'$"):
+        report_from_dict(data)
+
+
+def test_literal_entropies_with_an_unknown_convention_exit_with_error(tmp_path, capsys):
+    # used to print "M = ... [bogus convention]" and exit 0
+    singles = {"2": 1.0, "3": 1.0, "4": 1.0}
+    pairs = {f"{i}-{i % 5 + 1}": 1.5 for i in range(1, 6)}
+    literal = tmp_path / "literal.json"
+    body = {"entropies": {"h_singles": singles, "h_pairs": pairs}, "convention": "bogus"}
+    literal.write_text(json.dumps(body))
+    code = run_cli("inequality", "--entropies", str(literal))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: unknown convention 'bogus'\n"
 
 
 def test_out_writes_a_report_for_simulate_and_entropies_only(

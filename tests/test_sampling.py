@@ -7,6 +7,7 @@ from entroctx.contexts import (
     joint_distribution_fine,
 )
 from entroctx.entropy import entropies_from_counts, shannon_entropy
+from entroctx.ncmodels import NCModel
 from entroctx.pipeline import cycle_contexts, resolve_observables
 from entroctx.refdata import REFERENCE_RUNS
 from entroctx.reports import counts_from_dict
@@ -90,6 +91,23 @@ def test_noise_model_validation():
         NoiseModel(readout_flip=((0.9, 0.2), (0.1, 0.9)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=("nan", "inf"))
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda x: NoiseModel(readout_flip=((x, 1.0), (0.0, 1.0))), "readout_flip"),
+        (lambda x: OutcomeDistribution(("0", "1"), [x, 1.0]), "probs"),
+        (lambda x: shannon_entropy([x, 1.0]), "probability vector"),
+        (lambda x: NCModel([x, 0.5, 0.25, 0.25]), "weights"),
+    ],
+    ids=("readout-flip", "distribution", "entropy-vector", "nc-model"),
+)
+def test_probability_checks_refuse_non_finite_values(build, field, bad):
+    # NaN compares false with every bound, so each check used to accept it
+    with pytest.raises(ValueError, match=f"^{field} must be finite, not "):
+        build(bad)
+
+
 def test_noise_identity_cases():
     dist = bit_dist([0.4, 0.1, 0.3, 0.2])
     same = apply_noise(dist, NoiseModel())
@@ -112,6 +130,29 @@ def test_readout_flip_acts_per_qubit():
     assert noisy["01"] == pytest.approx(0.09, abs=1e-12)
     assert noisy["10"] == pytest.approx(0.09, abs=1e-12)
     assert noisy["11"] == pytest.approx(0.01, abs=1e-12)
+
+
+def test_readout_matrix_matches_the_per_bit_product_in_any_label_order():
+    # noisy p[b] = sum_a p[a] prod_q flip[a_q][b_q], over records a and b in
+    # whatever order the labels come; the Kronecker matmul sums in another
+    # order than this loop, so they agree to a few ulps
+    rng = np.random.default_rng(20261020)
+    for width in (1, 2, 3):
+        for _ in range(20):
+            labels = [format(b, f"0{width}b") for b in range(2**width)]
+            labels = tuple(labels[i] for i in rng.permutation(len(labels)))
+            probs = rng.dirichlet(np.ones(len(labels)))
+            flip = tuple(tuple(row) for row in rng.dirichlet(np.ones(2), size=2))
+            noisy = apply_noise(OutcomeDistribution(labels, probs), NoiseModel(0.0, flip))
+            expected = [
+                sum(
+                    p * np.prod([flip[int(x)][int(y)] for x, y in zip(a, b)])
+                    for a, p in zip(labels, probs)
+                )
+                for b in labels
+            ]
+            assert noisy.labels == labels
+            assert np.abs(noisy.probs - expected).max() <= 8 * np.finfo(float).eps
 
 
 def test_readout_flip_requires_bit_labels():
