@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +22,14 @@ from .pauli import PauliString, as_pauli, commutes, matrix
 from .statevec import GateOp, QuantumState, circuit_unitary
 
 _SIGNS = (+1, -1)
+
+
+def _is_real(x) -> bool:
+    """True for a real number, numpy's too, or a 0-d int or float array; a
+    bool, a string or a longer array is not one."""
+    if isinstance(x, np.ndarray):
+        return x.ndim == 0 and x.dtype.kind in "fiu"
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,9 @@ class OutcomeDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.labels),):
             raise ValueError("labels/probs length mismatch")
+        if len(set(self.labels)) != len(self.labels):
+            twice = [lb for lb in set(self.labels) if self.labels.count(lb) > 1]
+            raise ValueError(f"duplicate outcome labels {sorted(twice, key=repr)}")
         total = p.sum()  # NaN or infinite if an entry is
         if not math.isfinite(total):
             raise ValueError(f"probs must be finite, not {p.tolist()}")

@@ -108,9 +108,13 @@ def evaluate_m_cycle(h_pairs: Mapping, h_singles: Mapping, n: int) -> float:
         key: _lookup(single_index, key, f"single X{key}")
         for key in cycle_single_keys(n)
     }
-    wrap = pairs[(n, 1)]
-    chain = sum(pairs[(i, i + 1)] for i in range(1, n))
-    return wrap - chain + sum(singles.values())
+    return _m_sum(list(pairs.values()), list(singles.values()))
+
+
+def _m_sum(pairs, singles):
+    """wrap - chain + singles, sums left to right from 0, over floats or array
+    rows in cycle order: pairs (1, 2), ..., (n, 1), then singles 2..n-1."""
+    return pairs[-1] - sum(pairs[:-1]) + sum(singles)
 
 
 @dataclass(frozen=True)

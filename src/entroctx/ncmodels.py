@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .contexts import OutcomeDistribution, coarse_labels
+from .contexts import OutcomeDistribution, _is_real, coarse_labels
 from .entropy import _pair_key, _rekey, cycle_pair_keys, cycle_single_keys
 from .entropy import entropy_rows, evaluate_m_cycle, shannon_entropy
 
@@ -331,7 +331,7 @@ def _pair_constraints(n: int) -> np.ndarray:
 
 
 def _checked_tolerance(tolerance):
-    if not 0.0 <= tolerance < np.inf:  # also false for nan
+    if not (_is_real(tolerance) and 0.0 <= tolerance < np.inf):  # also false for nan
         raise ValueError(f"tolerance must be a finite number >= 0, not {tolerance!r}")
     return tolerance
 

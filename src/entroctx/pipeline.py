@@ -29,8 +29,8 @@ from .entropy import (
     cycle_pair_keys,
     cycle_single_keys,
     entropy_rows,
-    evaluate_m_cycle,
 )
+from .entropy import _m_sum
 from .ncmodels import FeasibilityResult, _feasible_rows, lp_feasibility
 from .pauli import OBSERVABLE_SETS, PauliString, as_pauli, verify_cycle
 from .refdata import REFERENCE_RUNS
@@ -133,16 +133,20 @@ def _analyse(entries, n: int, convention: str) -> tuple:
     (batch, K) array of probabilities over the context's fine records or
     coarse outcomes, as `convention` says. Returns the single and pair entropy
     tables and M, each per row, and the LP's coarse pair rows, (batch, n, 4)
-    in cycle order.
+    in cycle order. Rows of one shape get their entropies from one
+    (contexts, batch, K) stack, and M is evaluate_m_cycle's sum on them.
     """
-    h: dict = {"single": {}, "pair": {}}
-    coarse = []
-    for kind, key, ctx, rows in entries:
-        h[kind][key] = entropy_rows(rows)
-        if kind == "pair":
-            coarse.append(rows @ binning_matrix(ctx) if convention == "fine" else rows)
-    m = evaluate_m_cycle(h["pair"], h["single"], n)
-    return h["single"], h["pair"], m, np.stack(coarse, axis=1)
+    rows, keys = [e[3] for e in entries], [e[1] for e in entries]
+    h = np.empty((len(rows), len(rows[0])))
+    for shape in {r.shape for r in rows}:
+        at = [j for j, r in enumerate(rows) if r.shape == shape]
+        h[at] = entropy_rows(np.stack([rows[j] for j in at]))
+    pairs = np.stack(rows[n - 2 :])
+    if convention == "fine":
+        pairs = pairs @ np.stack([binning_matrix(e[2]) for e in entries[n - 2 :]])
+    singles = dict(zip(keys[: n - 2], h[: n - 2]))
+    m = _m_sum(h[n - 2 :], h[: n - 2])
+    return singles, dict(zip(keys[n - 2 :], h[n - 2 :])), m, pairs.transpose(1, 0, 2)
 
 
 def _counts_row(record: CountsRecord, ctx, convention: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import OutcomeDistribution
+from .contexts import OutcomeDistribution, _is_real
 
 _IDENTITY_FLIP = ((1.0, 0.0), (0.0, 1.0))
 
@@ -66,8 +66,9 @@ class NoiseModel:
     readout_flip: tuple[tuple[float, float], tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.depolarizing_epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+        eps = self.depolarizing_epsilon
+        if not (_is_real(eps) and 0.0 <= eps <= 1.0):
+            raise ValueError(f"epsilon must be a number in [0, 1], not {eps!r}")
         if self.readout_flip is not None:
             try:
                 flip = np.asarray(self.readout_flip, dtype=float)
@@ -96,10 +97,20 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountsRec
     return CountsRecord(shots, counts)
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=-1, keepdims=True), bit for bit: numpy adds fewer than 8
+    terms left to right from 0, here as whole columns once rows are many
+    (from 256 entries, the fewest at which column adds measured faster)."""
+    if rows.shape[-1] >= 8 or rows.size < 256:
+        return rows.sum(axis=-1, keepdims=True)
+    return sum(rows[..., j : j + 1] for j in range(rows.shape[-1]))
+
+
 def _depolarized(rows: np.ndarray, eps) -> np.ndarray:
     """(1 - eps) p + eps/K renormalized over the last axis; eps broadcasts."""
     noisy = (1.0 - eps) * rows + eps / rows.shape[-1]
-    return noisy / noisy.sum(axis=-1, keepdims=True)
+    noisy /= _row_sums(noisy)
+    return noisy
 
 
 def _noisy_rows(rows: np.ndarray, noise: NoiseModel, labels: tuple) -> np.ndarray:
@@ -135,22 +146,31 @@ class DepolarizingFit:
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _entropy_mismatch(
-    probs: list[np.ndarray], targets: list[float], eps: np.ndarray
-) -> np.ndarray:
+def _distinct_rows(probs: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """One (D, K) stack of the distinct rows per outcome count K, and each
+    distribution's column among all stacks' rows in turn (bytes fix K)."""
+    groups: dict = {}
+    for p in probs:
+        groups.setdefault(p.size, {})[p.tobytes()] = p
+    column = {row: c for c, row in enumerate(r for g in groups.values() for r in g)}
+    stacks = [np.array(list(rows.values())) for rows in groups.values()]
+    return stacks, [column[p.tobytes()] for p in probs]
+
+
+def _entropy_mismatch(rows: tuple, targets: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Sum over distributions of (H((1-eps) p + eps/K) - target)^2 for every
-    weight in the array eps at once, with 0 log 0 = 0. Distributions of one
-    size K are scored as one stack; padding or reordering the outcome axis
-    would change numpy's summation order, so neither is done."""
-    errors: list = [None] * len(probs)
-    for k in dict.fromkeys(p.size for p in probs):
-        group = [j for j, p in enumerate(probs) if p.size == k]
-        noisy = _depolarized(np.array([probs[j] for j in group]), eps[:, None, None])
-        logs = np.log2(noisy, out=np.zeros_like(noisy), where=noisy > 0.0)
-        h = -(noisy * logs).sum(axis=2)
-        for column, j in enumerate(group):
-            errors[j] = (h[:, column] - targets[j]) ** 2
-    return sum(errors, np.zeros(eps.shape))
+    weight in the array eps at once, with 0 log 0 = 0, added left to right in
+    distribution order. `rows` is their _distinct_rows, so each distinct row is
+    scored once; no outcome axis is padded or reordered, which would change
+    numpy's summation order, and the (E, D, K) temporaries die with the call."""
+    stacks, columns = rows
+    h = []
+    for stack in stacks:
+        noisy = _depolarized(stack, eps[:, None, None])
+        noisy *= np.log2(noisy, out=np.zeros_like(noisy), where=noisy > 0.0)
+        h.append(-_row_sums(noisy)[..., 0])
+    errors = (np.concatenate(h, axis=1)[:, columns] - targets) ** 2
+    return np.cumsum(errors, axis=1)[:, -1]
 
 
 def fit_depolarizing(
@@ -166,17 +186,21 @@ def fit_depolarizing(
     """
     if not dists or len(dists) != len(target_entropies):
         raise ValueError("need matching distributions and target entropies")
-    probs = [dist.probs for dist in dists]
-    targets = [float(t) for t in target_entropies]
-    for position, target in enumerate(targets):
+    for j, target in enumerate(target_entropies):
+        if not _is_real(target):
+            raise ValueError(f"target entropy {j} must be a number, not {target!r}")
         if not math.isfinite(target):
-            raise ValueError(f"target entropy {position} is not finite: {target}")
+            raise ValueError(f"target entropy {j} is not finite: {target}")
+        if target < 0.0:
+            raise ValueError(f"target entropy {j} is negative: {target}")
+    targets = np.array(target_entropies, dtype=float)
+    rows = _distinct_rows([dist.probs for dist in dists])
 
     def score(eps: float) -> float:
-        return float(_entropy_mismatch(probs, targets, np.array([eps]))[0])
+        return float(_entropy_mismatch(rows, targets, np.array([eps]))[0])
 
     grid = np.linspace(0.0, 1.0, 1001)
-    center = int(np.argmin(_entropy_mismatch(probs, targets, grid)))
+    center = int(np.argmin(_entropy_mismatch(rows, targets, grid)))
     a, b = grid[max(center - 1, 0)], grid[min(center + 1, len(grid) - 1)]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)

@@ -443,3 +443,11 @@ def test_eigenvalue_map_rejects_a_non_diagonalizing_circuit(monkeypatch):
 
 def test_coarse_labels_order():
     assert coarse_labels(2) == ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+
+def test_outcome_distribution_refuses_duplicate_labels():
+    # as_dict() would keep one of the two entries and drop the other's mass
+    with pytest.raises(ValueError, match=r"^duplicate outcome labels \['0'\]$"):
+        OutcomeDistribution(("0", "0"), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"^duplicate outcome labels \[\(1,\)\]$"):
+        OutcomeDistribution(((1,), (-1,), (1,)), np.array([0.2, 0.3, 0.5]))

@@ -152,7 +152,9 @@ def test_lp_feasible_for_ideal_preset():
     lp = lp_feasibility(rows, 5, np.float64(1e-9))
     assert lp.feasible is True
     assert json.dumps(lp.feasible) == "true"
-    for bad in (-1e-9, np.nan, np.inf):
+    assert lp_feasibility(rows, 5, np.array(1e-9)).feasible is True  # 0-d array
+    # a string or a bool is refused by name, not compared or cast
+    for bad in (-1e-9, np.nan, np.inf, "1e-9", None, True, [1e-9], np.array([1e-9])):
         for solve in (lp_feasibility, ncmodels._feasible_rows):
             block = rows if solve is lp_feasibility else np.stack([rows, rows])
             with pytest.raises(ValueError, match="tolerance must be a finite number"):

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from entroctx import contexts, ncmodels, pipeline
-from entroctx.contexts import OutcomeDistribution, coarsen, joint_distribution_fine
+from entroctx.contexts import (
+    OutcomeDistribution,
+    binning_matrix,
+    coarsen,
+    joint_distribution_fine,
+)
+from entroctx.entropy import entropy_rows, evaluate_m_cycle
 from entroctx.pipeline import (
     EXACT,
     ExperimentConfig,
@@ -129,6 +135,87 @@ def test_fine_three_qubit_cycle_reads_records_without_fallback():
     coarse = run_experiment(replace(config, convention="coarse"))
     for key, dist in coarse.coarse_pairs.items():
         assert np.abs(dist.probs - result.coarse_pairs[key].probs).max() <= 1e-12
+
+
+def _per_context_analysis(entries, n, convention):
+    """The analysis stage as one entropy_rows call and one binning product per
+    context, with M from evaluate_m_cycle: the reference the stacked stage
+    must equal bit for bit."""
+    h: dict = {"single": {}, "pair": {}}
+    coarse = []
+    for kind, key, ctx, rows in entries:
+        h[kind][key] = entropy_rows(rows)
+        if kind == "pair":
+            coarse.append(rows @ binning_matrix(ctx) if convention == "fine" else rows)
+    m = evaluate_m_cycle(h["pair"], h["single"], n)
+    return h["single"], h["pair"], m, np.stack(coarse, axis=1)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+@pytest.mark.parametrize("batch", [1, 36, 256])
+@pytest.mark.parametrize(
+    "observable_set",
+    [
+        "table1",
+        "table2",
+        ("XXI", "ZZI", "IIX", "ZZX", "XXX"),
+        # 4-qubit records: four of them fall in each coarse pair outcome, so
+        # the binning product's order of additions matters
+        ("XXII", "ZZII", "IIXX", "IIZZ"),
+    ],
+)
+def test_stacked_analysis_equals_the_per_context_formula(observable_set, batch):
+    observables = resolve_observables(observable_set)
+    n, size = len(observables), 2 ** observables[0].n
+    rng = np.random.default_rng(batch + size)
+    amplitudes = rng.normal(size=(batch, size)) + 1j * rng.normal(size=(batch, size))
+    amplitudes[0, :] = np.eye(size)[0]  # a basis state: zero and one probabilities
+    amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
+    flip = ((0.97, 0.03), (0.04, 0.96))
+    for convention, entries in pipeline._exact_entries(amplitudes, observables).items():
+        noisy = NoiseModel(0.05, flip if convention == "fine" else None)
+        for case in (
+            entries,
+            [
+                (kind, key, ctx, pipeline._noisy_rows(rows, noisy, labels))
+                for kind, key, ctx, rows in entries
+                for labels in [contexts.outcome_labels(ctx, convention)]
+            ],
+        ):
+            got = pipeline._analyse(case, n, convention)
+            want = _per_context_analysis(case, n, convention)
+            for table, expected in zip(got[:2], want[:2]):
+                assert list(table) == list(expected)
+                assert all(_same_bits(table[k], expected[k]) for k in expected)
+            assert _same_bits(got[2], want[2])
+            assert _same_bits(got[3], want[3])
+
+
+def test_cycle_contexts_returns_a_new_list_that_no_later_run_sees(tmp_path):
+    observables = resolve_observables("table1")
+    config = preset_config("s1", shots=8192, noise=NoiseModel(0.05))
+    before = run_experiment(config)
+    listed = cycle_contexts(observables)
+    assert listed is not cycle_contexts(observables)
+    expected = list(listed)
+    listed.reverse()
+    listed[0] = ("pair", (9, 9), None)
+    del listed[1:]
+    assert cycle_contexts(observables) == expected
+    after = run_experiment(config)
+    assert after.report == before.report
+    assert after.counts == before.counts
+    paths = write_sampled_counts(config, tmp_path)
+    assert ingest_counts_files(paths, "table1").report == before.report
+    # a list of observables, or of their texts, still names the same contexts
+    assert cycle_contexts(list(observables), "coarse") == cycle_contexts(
+        observables, "coarse"
+    )
+    assert cycle_contexts([str(o) for o in observables]) == expected
 
 
 def test_report_file_round_trip_bit_for_bit(tmp_path):

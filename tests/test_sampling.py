@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from entroctx.refdata import REFERENCE_RUNS
 from entroctx.reports import counts_from_dict
 from entroctx.sampling import (
     CountsRecord,
+    _distinct_rows,
     _entropy_mismatch,
     NoiseModel,
     apply_noise,
@@ -87,6 +90,14 @@ def test_sampling_within_binomial_band():
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(depolarizing_epsilon=1.5)
+    # a string or a bool is refused by name, not compared or cast
+    for bad in ("0.1", True, None, [0.1], float("nan"), np.array("0.1"), np.array(True)):
+        with pytest.raises(ValueError, match=r"^epsilon must be a number in \[0, 1\], not "):
+            NoiseModel(bad)
+    # a 0-d float array is a number, and noises rows as its float does
+    dist = bit_dist([0.4, 0.1, 0.3, 0.2])
+    same = apply_noise(dist, NoiseModel(np.array(0.1))).probs
+    assert same.tobytes() == apply_noise(dist, NoiseModel(0.1)).probs.tobytes()
     with pytest.raises(ValueError):
         NoiseModel(readout_flip=((0.9, 0.2), (0.1, 0.9)))
 
@@ -207,6 +218,26 @@ def test_fit_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"target entropy 1 is not finite: {bad}"):
             fit_depolarizing(dists, [1.0, bad])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-1.0, "target entropy 1 is negative: -1.0"),
+        (True, "target entropy 1 must be a number, not True"),
+        ("1.0", "target entropy 1 must be a number, not '1.0'"),
+        (None, "target entropy 1 must be a number, not None"),
+    ],
+)
+def test_fit_refuses_a_target_that_is_not_an_entropy(bad, message):
+    # an entropy is a real number >= 0; a bool or a string is not cast to one
+    dists = [bit_dist([0.5, 0.5]), bit_dist([0.25, 0.25, 0.25, 0.25])]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_depolarizing(dists, [1.0, bad])
+    # integers and numpy floats are numbers; both rows are uniform already
+    assert fit_depolarizing(dists, [1, np.float32(2.0)]).residual == 0.0
+    assert fit_depolarizing(dists, [np.array(1.0), 2.0]).residual == 0.0
+
 
 
 def _reference_fit(name: str):
@@ -335,6 +366,94 @@ def test_vectorized_fit_matches_the_loop_at_zero_and_full_noise(observable_set, 
     assert _assert_fit_matches_loop(dists, maximal).epsilon > 1.0 - 1e-4
 
 
+def _size_stacked_mismatch(probs, targets, eps):
+    """The fit objective before it scored each distinct row once: one stack
+    per outcome count, rebuilt on every evaluation, numpy's sums, errors
+    added from zeros. Kept as the reference it must equal bit for bit."""
+    errors = [None] * len(probs)
+    for k in dict.fromkeys(p.size for p in probs):
+        group = [j for j, p in enumerate(probs) if p.size == k]
+        e = eps[:, None, None]
+        noisy = (1.0 - e) * np.array([probs[j] for j in group]) + e / k
+        noisy = noisy / noisy.sum(axis=-1, keepdims=True)
+        logs = np.log2(noisy, out=np.zeros_like(noisy), where=noisy > 0.0)
+        h = -(noisy * logs).sum(axis=2)
+        for column, j in enumerate(group):
+            errors[j] = (h[:, column] - targets[j]) ** 2
+    return sum(errors, np.zeros(eps.shape))
+
+
+def _size_stacked_fit(dists, targets):
+    """fit_depolarizing's grid and golden-section search on that objective."""
+    probs = [d.probs for d in dists]
+    targets = [float(t) for t in targets]
+
+    def mismatch(eps):
+        return _size_stacked_mismatch(probs, targets, eps)
+
+    def score(eps):
+        return float(mismatch(np.array([eps]))[0])
+
+    grid = np.linspace(0.0, 1.0, 1001)
+    center = int(np.argmin(mismatch(grid)))
+    a, b = grid[max(center - 1, 0)], grid[min(center + 1, len(grid) - 1)]
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = score(c), score(d)
+    while b - a > 1e-4:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = score(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = score(d)
+    best = float(0.5 * (a + b))
+    return best, score(best)
+
+
+# MIXED_SIZES again with rows repeated, once next to itself and once apart:
+# the fit scores each distinct row once and must still add every error
+REPEATED_ROWS = [*MIXED_SIZES, MIXED_SIZES[2], MIXED_SIZES[0], MIXED_SIZES[0]]
+
+
+@pytest.mark.parametrize(
+    "observable_set, spec, convention",
+    [
+        *PRESET_FITS,
+        pytest.param(*CYCLE3, "coarse", id="cycle3-coarse"),
+        pytest.param(*CYCLE3, "fine", id="cycle3-fine"),
+        pytest.param(None, None, "zeros", id="mixed-sizes"),
+        pytest.param(None, None, "repeats", id="repeated-rows"),
+    ],
+)
+def test_fit_equals_the_size_stacked_fit_bit_for_bit(observable_set, spec, convention):
+    # CYCLE3's fine rows have K = 8 outcomes, where numpy's pairwise sum and a
+    # left-to-right one differ; MIXED_SIZES holds zero probabilities
+    if spec is None:
+        dists = MIXED_SIZES if convention == "zeros" else REPEATED_ROWS
+    else:
+        dists = _exact_dists(observable_set, spec, convention)
+    rng = np.random.default_rng(sum(map(ord, f"bits{observable_set}{convention}")))
+    target_sets = [
+        [shannon_entropy(d) for d in dists],
+        [np.log2(len(d.labels)) for d in dists],
+        *(rng.uniform(0.0, 2.0, len(dists)) for _ in range(4)),
+    ]
+    for eps in rng.uniform(0.0, 0.6, 4):
+        noise = NoiseModel(depolarizing_epsilon=eps)
+        noisy = [shannon_entropy(apply_noise(d, noise)) for d in dists]
+        target_sets.append([abs(h + rng.normal(0.0, 0.02)) for h in noisy])
+    probs, grid = [d.probs for d in dists], np.linspace(0.0, 1.0, 1001)
+    for targets in target_sets:
+        fit = fit_depolarizing(dists, targets)
+        assert (fit.epsilon, fit.residual) == _size_stacked_fit(dists, targets)
+        # the grid scores too: a last-bit change rarely moves the fit's bracket
+        stacked = _entropy_mismatch(_distinct_rows(probs), np.array(targets), grid)
+        assert stacked.tobytes() == _size_stacked_mismatch(probs, targets, grid).tobytes()
+
+
 def _loop_mismatch(probs, targets, eps):
     """The per-distribution objective the size-stacked one replaced."""
     total = np.zeros(eps.shape)
@@ -365,7 +484,7 @@ def test_stacked_objective_equals_the_per_distribution_loop(
             for kind, key, _ in contexts
         ]
     grid = np.linspace(0.0, 1.0, 1001)
-    stacked = _entropy_mismatch(probs, targets, grid)
+    stacked = _entropy_mismatch(_distinct_rows(probs), np.array(targets), grid)
     assert np.array_equal(stacked, _loop_mismatch(probs, targets, grid))
 
 
