@@ -18,6 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .contexts import OutcomeDistribution
+from .sampling import _integer
 
 PairKey = tuple[int, int]
 
@@ -165,18 +166,26 @@ def _sorted_labels(labels) -> list:
     return sorted(labels, key=str)
 
 
+def _count_table(counts) -> dict:
+    """A CountsRecord's counts, or a plain mapping's checked as CountsRecord
+    checks them: a bool, float or string count is refused, naming its label."""
+    if hasattr(counts, "counts"):
+        return counts.counts
+    return {k: _integer(f"count of {k!r}", v, 0) for k, v in dict(counts).items()}
+
+
 def entropies_from_counts(counts) -> OutcomeDistribution:
     """Maximum-likelihood distribution p = count/shots from raw counts.
 
     Accepts a CountsRecord or a plain label -> count mapping. No smoothing:
     zero-count outcomes stay at probability zero.
     """
-    table = counts.counts if hasattr(counts, "counts") else dict(counts)
-    total = sum(int(v) for v in table.values())
+    table = _count_table(counts)
+    total = sum(table.values())
     if total <= 0:
         raise ValueError("zero total count")
     labels = _sorted_labels(table.keys())
-    probs = np.array([int(table[lb]) for lb in labels], dtype=float) / total
+    probs = np.array([table[lb] for lb in labels], dtype=float) / total
     return OutcomeDistribution(tuple(labels), probs)
 
 
@@ -187,8 +196,7 @@ def estimate_entropy(counts: Mapping, bias_correction: bool = False) -> float:
     outcomes. Off by default: reference reconciliation uses the plain
     maximum-likelihood estimate.
     """
-    table = counts.counts if hasattr(counts, "counts") else dict(counts)
-    values = np.array([float(v) for v in table.values()])
+    values = np.array([float(v) for v in _count_table(counts).values()])
     total = values.sum()
     if total <= 0:
         raise ValueError("zero total count")

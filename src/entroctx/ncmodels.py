@@ -21,8 +21,8 @@ from .entropy import _pair_key, _rekey, cycle_pair_keys, cycle_single_keys
 from .entropy import entropy_rows, evaluate_m_cycle, shannon_entropy
 
 # One random-model LP takes about 11 ms and 60 pivots at n = 13, 16 ms at n = 14
-# (2-vCPU x86); pricing reads all 2^n columns per pivot. Raising the limit is a
-# logged decision.
+# (2-vCPU x86), and an 8x8 sweep's 64 lock-step rows at n = 13 about 0.3 s;
+# pricing reads all 2^n columns per pivot. Raising the limit is a logged decision.
 MAX_OBSERVABLES = 13
 _PAIR_LABELS = coarse_labels(2)
 
@@ -135,8 +135,9 @@ class FeasibilityResult:
 
 
 _PIVOT_EPS = 1e-12
-# Rows per lock-step batch: this many (4n + 1) x (2^n + 4n + 2) tableaus plus
-# an elimination buffer as large, 1.2 MB at n = 5, whatever the grid's size.
+# Rows per lock-step batch: this many m x (m + 1) [binv | xb] blocks, m = 4n + 1,
+# 0.24 MB at n = 5 and 1.5 MB at n = 13, and a (2^n + 2m)-wide reduced-cost row
+# each, whatever the grid's size.
 _BATCH_ROWS = 64
 
 
@@ -227,52 +228,49 @@ def _batch_leaving(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
 
 def _simplex_min_violation_batch(a0: np.ndarray, b: np.ndarray, tolerance):
     """Is the violation LP's optimum at most `tolerance`, for each row of a
-    (B, m) right-hand side? One lock step pivots every unfinished row by Bland's
-    rule as a dense tableau simplex does, with its product per entry. A row leaves
-    feasible once its objective, the sum of its clipped basic slack values, is
-    _PIVOT_EPS under `tolerance` (it never rises but by rounding), or at its
-    optimum with _optimum's total. The v block is always the u block negated,
-    bit for bit (elimination is sign-symmetric), so the tableau is [a0 | u | rhs]."""
+    (B, m) right-hand side? One lock step takes _simplex_min_violation's next
+    pivot on every unfinished row, each with its own [binv | xb] block and
+    degenerate-pivot count, in the same arithmetic. A row leaves feasible once
+    its objective, the sum of its clipped basic slack values, is _PIVOT_EPS
+    under `tolerance` (it never rises but by rounding), or at its optimum
+    with _optimum's total."""
     (size, m), n_w = b.shape, a0.shape[1]
-    n_half = n_w + m
-    tableau = np.empty((size, m, n_half + 1))
-    tableau[:, :, :n_half] = np.hstack([a0, np.eye(m)])
+    tableau = np.zeros((size, m, m + 1))
+    tableau[:, :, :m] = np.eye(m)
     tableau[:, :, -1] = b
-    product = np.empty_like(tableau)
+    columns = np.hstack([a0, np.eye(m), -np.eye(m)]).T  # [a0 | I | -I][:, j]
     cost = np.concatenate([np.zeros(n_w), np.ones(2 * m)])
-    # entering column j is tableau column source[j] times sign[j]
-    source = np.concatenate([np.arange(n_half), np.arange(n_w, n_half)])
-    sign = np.concatenate([np.ones(n_half), -np.ones(m)])
-    basis = np.tile(np.arange(n_w, n_half), (size, 1))
-    basic_cost = np.ones((size, m))  # cost[basis], row by row
+    basis = np.tile(np.arange(n_w, n_w + m), (size, 1))
+    stalled = np.zeros(size, dtype=int)  # degenerate pivots in a row, per row
     index = np.arange(size)  # batch row -> row of b
     verdicts, rows = np.zeros(size, dtype=bool), np.arange(size)
     while True:
-        slack = np.maximum(tableau[:, :, -1], 0.0)
+        binv, xb, basic_cost = tableau[:, :, :m], tableau[:, :, -1], cost[basis]
+        slack = np.maximum(xb, 0.0)
         reached = np.einsum("bi,bi->b", basic_cost, slack) <= tolerance - _PIVOT_EPS
-        x = np.matmul(basic_cost[:, None], tableau[:, :, :n_half])[:, 0]
-        reduced = np.concatenate([cost[:n_half] - x, 1.0 - (-x[:, n_w:])], axis=1)
+        y = np.matmul(basic_cost[:, None], binv)[:, 0]
+        reduced = np.concatenate([-(y @ a0), 1.0 - y, 1.0 + y], axis=1)
         eligible = reduced < -_PIVOT_EPS
-        entering = eligible.argmax(axis=1)  # Bland: the lowest eligible index
+        bland = eligible.argmax(axis=1)  # the lowest eligible index
+        entering = np.where(stalled < m, reduced.argmin(axis=1), bland)
         going = eligible[rows, entering] & ~reached
         if not going.all():
             verdicts[index[reached]] = True
             for k in np.flatnonzero(~going & ~reached):
-                total = _optimum(tableau[k, :, -1], basis[k], cost, n_w)[1]
-                verdicts[index[k]] = total <= tolerance
-            tableau, basis, basic_cost = tableau[going], basis[going], basic_cost[going]
+                verdicts[index[k]] = _optimum(xb[k], basis[k], cost, n_w)[1] <= tolerance
+            tableau, basis, stalled = tableau[going], basis[going], stalled[going]
             entering, index, rows = entering[going], index[going], rows[: going.sum()]
             if not index.size:
                 return verdicts
-        column = tableau[rows, :, source[entering]] * sign[entering, None]
+        column = np.matmul(tableau[:, :, :m], columns[entering, :, None])[:, :, 0]
         leaving = _batch_leaving(column, tableau[:, :, -1], basis)
         if (leaving < 0).any():
             raise RuntimeError("violation LP reported unbounded")
         pivot_row = tableau[rows, leaving] / column[rows, leaving, None]
-        tableau -= np.einsum("bi,bj->bij", column, pivot_row, out=product[: index.size])
+        stalled = np.where(pivot_row[:, -1] <= _PIVOT_EPS, stalled + 1, 0)
+        tableau -= column[:, :, None] * pivot_row[:, None]
         tableau[rows, leaving] = pivot_row
         basis[rows, leaving] = entering
-        basic_cost[rows, leaving] = cost[entering]
 
 
 def _pair_rows(pair_dists, n: int) -> np.ndarray:

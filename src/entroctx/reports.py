@@ -58,15 +58,20 @@ def _field(data, name: str, kind: str = "entropies"):
 
 def report_from_dict(data: dict) -> tuple[EntropyReport, bool | None]:
     pairs = dict(_field(data, "h_pairs"))
+    lp_feasible = data.get("lp_feasible")
+    if not (lp_feasible is None or isinstance(lp_feasible, bool)):
+        raise ValueError(
+            f"report 'lp_feasible' must be true, false or null, not {lp_feasible!r}"
+        )
     report = EntropyReport(
         h_singles=dict(_field(data, "h_singles")),
         h_pairs=pairs,
         m_value=float(_field(data, "m_value")),
         convention=_field(data, "convention"),
         n_observables=len(pairs),
-        flags=tuple(data.get("flags", ())),
+        flags=_texts("report 'flags'", data.get("flags", [])),
     )
-    return report, data.get("lp_feasible")
+    return report, lp_feasible
 
 
 def write_report(path, report: EntropyReport, lp_feasible: bool | None) -> dict:
@@ -158,20 +163,22 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def read_sweep_csv(path) -> list[tuple]:
+    """write_sweep_csv's rows; a row that is not 4 numbers and true or false
+    is refused with the file and line."""
     rows = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
         if tuple(header) != SWEEP_COLUMNS:
             raise ValueError(f"unexpected sweep header {header}")
-        for alpha, beta, m_coarse, m_fine, feasible in reader:
-            rows.append(
-                (
-                    float(alpha),
-                    float(beta),
-                    float(m_coarse),
-                    float(m_fine),
-                    feasible == "true",
-                )
-            )
+        for cells in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(cells) != len(SWEEP_COLUMNS):
+                raise ValueError(f"{where}: {len(cells)} cells, not {len(SWEEP_COLUMNS)}")
+            if cells[4] not in ("true", "false"):
+                raise ValueError(f"{where}: lp_feasible is {cells[4]!r}, not true or false")
+            try:
+                rows.append((*map(float, cells[:4]), cells[4] == "true"))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return rows

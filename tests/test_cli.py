@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -514,6 +515,31 @@ def test_a_report_with_an_unknown_convention_is_refused(tmp_path, capsys):
     data = {**json.loads(report_file.read_text()), "convention": "bogus"}
     with pytest.raises(ValueError, match="^unknown convention 'bogus'$"):
         report_from_dict(data)
+
+
+def test_a_report_with_malformed_flags_or_verdict_is_refused(tmp_path, capsys):
+    # a string of flags became one flag per letter, which inequality printed,
+    # and "lp_feasible": "no" came back as the string
+    report_file = tmp_path / "report.json"
+    assert run_cli("simulate", "--preset", "s2", "--out", str(report_file)) == 0
+    capsys.readouterr()
+    data = json.loads(report_file.read_text())
+    assert report_from_dict(data)[1] is data["lp_feasible"]
+    for field, bad, message in (
+        ("flags", "DISCREPANCY", "report 'flags' must be a list of strings"),
+        ("flags", ["ok", 1], "report 'flags' must be a list of strings"),
+        ("lp_feasible", "no", "report 'lp_feasible' must be true, false or null"),
+        ("lp_feasible", 1, "report 'lp_feasible' must be true, false or null"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, not "):
+            report_from_dict({**data, field: bad})
+    report_file.write_text(json.dumps({**data, "flags": "DISCREPANCY"}))
+    assert run_cli("inequality", "--entropies", str(report_file)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: report 'flags' must be a list of strings, not 'DISCREPANCY'\n"
+    )
 
 
 def test_literal_entropies_with_an_unknown_convention_exit_with_error(tmp_path, capsys):

@@ -221,6 +221,21 @@ def test_estimate_entropy_bias_correction():
     assert corrected - plain == pytest.approx(3 / (2 * 1000 * np.log(2)), abs=1e-12)
 
 
+@pytest.mark.parametrize("estimate", [entropies_from_counts, estimate_entropy])
+def test_plain_count_mappings_are_checked_as_counts_records_are(estimate):
+    # 2.7 was cut to 2 (probabilities 2/3 and 1/3), and estimate_entropy took
+    # True and 1.5 for counts
+    for bad, label in (({"00": 2.7, "01": 1}, "'00'"), ({"0": 1, "1": True}, "'1'")):
+        with pytest.raises(ValueError, match=f"^count of {label} must be an integer"):
+            estimate(bad)
+    with pytest.raises(ValueError, match="^count of '1' must be an integer >= 0, not 1.5$"):
+        estimate({"0": 2, "1": 1.5})
+    with pytest.raises(ValueError, match="^count of '1' must be an integer >= 0, not -1$"):
+        estimate({"0": 2, "1": -1})
+    got, want = estimate({"0": np.int64(3), "1": 1}), estimate({"0": 3, "1": 1})
+    assert np.array_equal(getattr(got, "probs", got), getattr(want, "probs", want))
+
+
 def test_report_recomputes_m():
     run = REFERENCE_RUNS["s2"]
     report = EntropyReport.from_entropies(

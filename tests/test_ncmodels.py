@@ -540,18 +540,18 @@ def test_simplex_pivots_match_loop_reference(n, monkeypatch):
     a0, solved = dense_solved_instances(n)
     assert np.array_equal(ncmodels._pair_constraints(n), a0)
     rhs, totals = [], []
-    for kind, b, (_, dense_total, _) in solved:
+    for kind, b, _ in solved:
         weights, total, bases = traced_simplex(monkeypatch, a0, b)
         ref_weights, ref_total, ref_bases, _ = reference_revised_simplex(a0, b)
         assert bases == ref_bases, kind
         assert np.array_equal(weights, ref_weights), kind
         assert total == ref_total, kind
         rhs.append(b)
-        totals.append(dense_total)
-    # every instance in one lock-step batch gives the dense reference's
-    # verdict, whose arithmetic the batch keeps, at fixed tolerances and at
-    # tolerances one ulp and 1e-9 either side of an optimum, so some rows
-    # sit just above and some just below it
+        totals.append(total)
+    # every instance in one lock-step batch gives _simplex_min_violation's
+    # verdict, whose pivots and arithmetic the batch keeps, at fixed
+    # tolerances and at tolerances one ulp and 1e-9 either side of an
+    # optimum, so some rows sit just above and some just below it
     optima = sorted(set(totals) - {0.0})[:: 1 if n <= 7 else 3]
     assert optima
     tolerances = [0.0, 1e-12, 1e-9, 1e-6, 0.05, 0.232]

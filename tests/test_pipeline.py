@@ -56,7 +56,7 @@ from entroctx.statevec import (
     apply_circuit,
     prepare_state,
 )
-from test_ncmodels import reference_simplex_min_violation
+from test_ncmodels import traced_simplex
 
 S1_COARSE_M = -2.490998900332338
 S2_COARSE_M = -2.321121317385921
@@ -470,6 +470,25 @@ def test_reproduce_reference_solves_no_lp(monkeypatch):
         assert result["runs"][name]["ideal_m"][conv] == m
 
 
+def test_read_sweep_csv_names_the_file_and_line_of_a_bad_row(tmp_path):
+    # "True" and "yes" read as False, and a short row failed with a bare
+    # "not enough values to unpack"
+    path = tmp_path / "s.csv"
+    write_sweep_csv(path, [(0.1, 0.2, -0.5, -0.25, True), (0.3, 0.4, 0.5, 0.25, False)])
+    good = path.read_text().splitlines()
+    assert read_sweep_csv(path) == [(0.1, 0.2, -0.5, -0.25, True), (0.3, 0.4, 0.5, 0.25, False)]
+    for row, problem in (
+        ("0.5,0.6,0.1,0.2,True", "lp_feasible is 'True', not true or false"),
+        ("0.5,0.6,0.1,0.2,yes", "lp_feasible is 'yes', not true or false"),
+        ("0.5,0.6,0.1,true", "4 cells, not 5"),
+        ("0.5,0.6,0.1,0.2,true,x", "6 cells, not 5"),
+        ("0.5,x,0.1,0.2,true", "could not convert string to float: 'x'"),
+    ):
+        path.write_text("\n".join([*good, row]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 4: {problem}')}$"):
+            read_sweep_csv(path)
+
+
 def test_sweep_single_point_matches_run(tmp_path):
     rows = sweep("s1", [2.9306], [2.9306], "table1")
     write_sweep_csv(tmp_path / "s.csv", rows)
@@ -611,12 +630,54 @@ def test_sweep_batches_match_one_lp_per_point(monkeypatch):
         assert got == [lp_feasibility(point, n, tol).feasible for point in pair_rows], tol
 
 
+def swept_pair_rows(monkeypatch, family, alphas, betas, observables):
+    """The (B, n, 4) coarse pair rows and n that `sweep` hands its LP."""
+    grids, batched = [], pipeline._feasible_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            pipeline, "_feasible_rows", lambda *args: grids.append(args) or batched(*args)
+        )
+        sweep(family, alphas, betas, observables)
+    [(rows, n, _)] = grids
+    return rows, n
+
+
+LONG_CYCLE = ("ZI", "IZ", "ZZ", "IZ", "ZI", "IX", "XI", "XX", "IX", "XI", "IZ", "ZI", "IZ")
+
+
+@pytest.mark.parametrize("case", ["exact_grids", "long_cycle"])
+def test_sweep_verdicts_equal_lp_feasibility_at_every_tolerance(monkeypatch, case):
+    # the lock-step batch takes lp_feasibility's pivots, so it gives its verdict
+    # even at tolerance 0, where rounding decides: seeded 6x6 grids around the
+    # preset points as the exact benchmark pool draws them, and a 4x4 grid of
+    # the 13-observable cycle (MAX_OBSERVABLES) away from the s1 null vector
+    if case == "exact_grids":
+        blocks = []
+        for k in range(8):
+            family = ("s1", "s2")[k % 2]
+            config = preset_config(family)
+            rng = np.random.default_rng([1, k])
+            alphas = np.sort(np.append(rng.uniform(-np.pi, np.pi, 5), config.state.alpha))
+            betas = np.sort(np.append(rng.uniform(-np.pi, np.pi, 5), config.state.beta))
+            blocks.append(
+                swept_pair_rows(monkeypatch, family, alphas, betas, config.observable_set)
+            )
+        rows, n = np.concatenate([r for r, _ in blocks]), blocks[0][1]
+    else:
+        grid = np.linspace(0.3, 1.2, 4)
+        rows, n = swept_pair_rows(monkeypatch, "s1", grid, grid + 0.2, LONG_CYCLE)
+        assert n == ncmodels.MAX_OBSERVABLES
+    for tolerance in (0.0, 1e-12, 1e-9, 0.05, 0.232):
+        expected = [lp_feasibility(row, n, tolerance).feasible for row in rows]
+        assert ncmodels._feasible_rows(rows, n, tolerance) == expected, tolerance
+
+
 @pytest.mark.parametrize("preset", ["s1", "s2"])
 def test_sweep_lp_takes_fewer_steps_than_its_longest_one_row_solve(monkeypatch, preset):
     # a 6x6 grid around the preset point: every point is feasible, and a
     # lock-step row leaves once its objective is under the tolerance, so the
-    # batch ends before the dense Bland loop reference, whose pivots the batch
-    # takes, pivots longest to its optimum on one point
+    # batch ends before _simplex_min_violation, whose pivots the batch takes,
+    # pivots longest to its optimum on one point
     spec = preset_config(preset).state
     rng = np.random.default_rng(20261020)
     alphas = np.sort(np.append(rng.uniform(-np.pi, np.pi, 5), spec.alpha))
@@ -635,7 +696,7 @@ def test_sweep_lp_takes_fewer_steps_than_its_longest_one_row_solve(monkeypatch, 
     [(pair_rows, n, tolerance)] = grids
     a0, pivots = ncmodels._pair_constraints(n), []
     for point in pair_rows:
-        _, total, bases = reference_simplex_min_violation(a0, np.append(point, 1.0))
+        _, total, bases = traced_simplex(monkeypatch, a0, np.append(point, 1.0))
         assert total <= tolerance
         pivots.append(len(bases) - 1)
     assert 0 < len(calls) < max(pivots)
